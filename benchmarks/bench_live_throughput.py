@@ -1,24 +1,25 @@
-"""Live monitor datapath throughput: batched drain vs per-datagram.
+"""Live monitor datapath throughput: object vs SoA engine on a burst.
 
-Measures what the fast live datagram path (``repro.live``: bounded
-deque inbox, allocation-light wire codec, chunked consumer drain, SoA
-``ingest``) buys on loopback, and writes the numbers as one JSON
-document (``BENCH_live_throughput.json`` at the repo root).
+Measures the live datagram path (``repro.live``: bounded deque inbox,
+allocation-light wire codec, chunked consumer drain, SoA ``ingest``) on
+a pre-enqueued burst, and writes the numbers as one JSON document
+(``BENCH_live_throughput.json`` at the repo root).
 
-Four timed modes — engine (``object`` / ``soa``) × drain
-(``1`` = the historical per-datagram dispatch / ``N`` = batched) — each
-run twice: with the Section 5/6 estimation pipeline attached (the
-full-service configuration) and without it (the detector-core
-configuration, ``add_peer(..., observe=False)``), because the
-per-heartbeat estimator update is pure Python and common to every mode,
-so it dilutes exactly the overhead the batched path removes.
+Two timed modes — engine ``object`` and ``soa``, both on the one
+chunked drain — each run twice: with the Section 5/6 estimation
+pipeline attached (the full-service configuration) and without it (the
+detector-core configuration, ``add_peer(..., observe=False)``), because
+the per-heartbeat estimator update is pure Python and common to both
+modes, so it dilutes exactly the overhead the SoA ingest removes.  A
+burst is the SoA engine's best case; the one-datagram-per-wakeup case
+is the repository benchmark's ``fleet`` workload (``perfbench/``).
 
 **Identity before timing**: a mixed stream (junk datagrams, unknown
 senders, out-of-order sequence numbers, incarnation restarts, stale
-stragglers) is dispatched through all four modes first, and every
+stragglers) is dispatched through both modes first, and every
 ``live_*`` counter plus every incarnation's ``(name, incarnation,
-first_seq, delivered)`` book must agree exactly — the batched drain
-must make the *same decisions* datagram for datagram.  (Detector
+first_seq, delivered)`` book must agree exactly — the two engines must
+make the *same decisions* datagram for datagram.  (Detector
 verdict identity between the object and SoA backends under real pacing
 is pinned separately by ``tests/live/test_batched_drain.py`` and the
 engine's own identity suite; transition *timestamps* on a wall clock
@@ -48,10 +49,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_live_throughput.json"
 
-SCHEMA = "repro.bench.live_throughput/1"
+SCHEMA = "repro.bench.live_throughput/2"
 
 ETA, DELTA = 0.05, 0.03
-DRAIN_BATCHED = 1024
+ENGINES = ("object", "soa")
 
 
 def build_payloads(n_senders: int, slots: int):
@@ -84,8 +85,8 @@ def _processed(registry) -> float:
     return total
 
 
-async def _run_mode(payloads, n_senders, engine, drain, observe):
-    """Time one (engine, drain, observe) configuration; returns seconds."""
+async def _run_mode(payloads, n_senders, engine, observe):
+    """Time one (engine, observe) configuration; returns seconds."""
     from repro.core.nfd_s import NFDS
     from repro.live import LiveMonitorService
 
@@ -95,7 +96,6 @@ async def _run_mode(payloads, n_senders, engine, drain, observe):
         origin=loop.time(),
         inbox_limit=len(payloads) + 1,
         engine=engine,
-        drain_batch=drain,
         keep_traces=False,
     )
     for i in range(n_senders):
@@ -152,7 +152,7 @@ def build_mixed_stream(n_senders: int, slots: int):
     return out
 
 
-async def _dispatch_fingerprint(payloads, n_senders, engine, drain):
+async def _dispatch_fingerprint(payloads, n_senders, engine):
     """Counters + per-incarnation books after dispatching a stream."""
     from repro.core.nfd_s import NFDS
     from repro.live import LiveMonitorService
@@ -163,7 +163,6 @@ async def _dispatch_fingerprint(payloads, n_senders, engine, drain):
         origin=loop.time(),
         inbox_limit=len(payloads) + 1,
         engine=engine,
-        drain_batch=drain,
         keep_traces=False,
     )
     for i in range(n_senders):
@@ -192,15 +191,13 @@ async def _dispatch_fingerprint(payloads, n_senders, engine, drain):
 
 
 async def verify_identity(n_senders: int, slots: int) -> dict:
-    """Assert all four modes make identical dispatch decisions."""
+    """Assert both engines make identical dispatch decisions."""
     payloads = build_mixed_stream(n_senders, slots)
-    fingerprints = {}
-    for engine in ("object", "soa"):
-        for drain in (1, DRAIN_BATCHED):
-            fingerprints[f"{engine}/drain{drain}"] = (
-                await _dispatch_fingerprint(payloads, n_senders, engine, drain)
-            )
-    baseline_key = "object/drain1"
+    fingerprints = {
+        engine: await _dispatch_fingerprint(payloads, n_senders, engine)
+        for engine in ENGINES
+    }
+    baseline_key = "object"
     baseline = fingerprints[baseline_key]
     for key, fp in fingerprints.items():
         if fp != baseline:
@@ -232,30 +229,20 @@ async def bench_modes(n_senders: int, slots: int) -> dict:
         "heartbeats": n,
         "eta": ETA,
         "delta": DELTA,
-        "drain_batched": DRAIN_BATCHED,
     }
     for label, observe in (("full_service", True), ("detector_core", False)):
         modes = {}
-        for engine in ("object", "soa"):
-            for drain in (1, DRAIN_BATCHED):
-                seconds = await _run_mode(
-                    payloads, n_senders, engine, drain, observe
-                )
-                modes[f"{engine}_drain{drain}"] = {
-                    "seconds": round(seconds, 6),
-                    "heartbeats_per_s": int(n / seconds),
-                    "per_heartbeat_us": round(1e6 * seconds / n, 3),
-                }
-        scalar_soa = modes[f"soa_drain1"]["seconds"]
-        scalar_obj = modes[f"object_drain1"]["seconds"]
-        batched_soa = modes[f"soa_drain{DRAIN_BATCHED}"]["seconds"]
+        for engine in ENGINES:
+            seconds = await _run_mode(payloads, n_senders, engine, observe)
+            modes[engine] = {
+                "seconds": round(seconds, 6),
+                "heartbeats_per_s": int(n / seconds),
+                "per_heartbeat_us": round(1e6 * seconds / n, 3),
+            }
         doc[label] = {
             "modes": modes,
-            "speedup_soa_batched_vs_soa_scalar": round(
-                scalar_soa / batched_soa, 2
-            ),
-            "speedup_soa_batched_vs_object_scalar": round(
-                scalar_obj / batched_soa, 2
+            "speedup_soa_vs_object": round(
+                modes["object"]["seconds"] / modes["soa"]["seconds"], 2
             ),
         }
     return doc

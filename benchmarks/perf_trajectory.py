@@ -1,18 +1,17 @@
 """Machine-readable performance trajectory for the replica kernels.
 
-Measures the three perf axes this repo optimizes and writes them as one
-JSON document (``BENCH_fastsim.json`` at the repo root), so performance
+Measures the perf axes this repo optimizes and writes them as one JSON
+document (``BENCH_fastsim.json`` at the repo root), so performance
 changes land in review as numbers, not prose:
 
-* **fastsim multi-seed throughput** — heartbeats/s of an ensemble of
-  failure-free NFD-S runs, serial kernel calls vs one lockstep batch
-  (:func:`repro.sim.batch.simulate_nfds_fast_batch`).
 * **crash-run throughput** — crash runs/s of a detection-time ensemble,
   event-driven :func:`repro.sim.runner.run_crash_runs` vs the vectorized
   crash kernel (:func:`repro.sim.batch.run_crash_runs_batched`).
 * **analytic-path latency** — :meth:`NFDSAnalysis.predict` on a cold
   instance vs re-querying the same (memoized) instance, plus the
   Section 4 ``configure_nfds`` worked example end to end.
+* **telemetry overhead** — the fastsim hot path with the telemetry
+  layer disabled vs enabled.
 
 Every comparison pairs bit-identical computations, so the ratios are
 pure execution-strategy wins.  Usage::
@@ -36,83 +35,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_fastsim.json"
 
-SCHEMA = "repro.bench.fastsim/1"
+SCHEMA = "repro.bench.fastsim/2"
 
 
 def _time(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
-
-
-def bench_fastsim_multiseed(smoke: bool) -> dict:
-    """Serial vs lockstep-batched multi-seed accuracy ensembles.
-
-    Bit-identity pins each row's RNG consumption to the serial kernel's,
-    so per-row draws and bookkeeping cannot merge; the lockstep batch
-    shares the chunk schedule and the elementwise passes.  The expected
-    single-core outcome is *throughput parity* — the axis exists to
-    group heterogeneous task lists and compose with process-level
-    parallelism (batch within a worker x workers across cores) without
-    changing any result.  This entry keeps that parity honest in the
-    trajectory.
-    """
-    from repro.net.delays import ExponentialDelay
-    from repro.sim.batch import simulate_nfds_fast_batch, simulate_sfd_fast_batch
-    from repro.sim.fastsim import simulate_nfds_fast, simulate_sfd_fast
-
-    n_tasks = 8 if smoke else 64
-    reps = 1 if smoke else 3
-    sched = dict(
-        target_mistakes=10**9,  # heartbeat-bound: fixed work per row
-        max_heartbeats=10_000 if smoke else 50_000,
-        chunk_size=2_000 if smoke else 5_000,
-    )
-    common = dict(
-        eta=1.0,
-        loss_probability=0.01,
-        delay=ExponentialDelay(0.02),
-        **sched,
-    )
-    kernels = {
-        "nfds": (
-            simulate_nfds_fast,
-            simulate_nfds_fast_batch,
-            dict(delta=1.0),
-        ),
-        "sfd": (
-            simulate_sfd_fast,
-            simulate_sfd_fast_batch,
-            dict(timeout=1.7, cutoff=0.3),
-        ),
-    }
-    heartbeats = n_tasks * sched["max_heartbeats"]
-    out: dict = {
-        "n_tasks": n_tasks,
-        "heartbeats_per_task": sched["max_heartbeats"],
-        "chunk_size": sched["chunk_size"],
-    }
-    for name, (serial, batch, extra) in kernels.items():
-        tasks = [
-            dict(seed=seed, **extra, **common) for seed in range(n_tasks)
-        ]
-        # Warm both code paths (imports, allocator) off the clock.
-        serial(**{**tasks[0], "max_heartbeats": 2_000})
-        batch([{**tasks[0], "max_heartbeats": 2_000}])
-        serial_s = min(
-            _time(lambda: [serial(**kw) for kw in tasks]) for _ in range(reps)
-        )
-        batched_s = min(
-            _time(lambda: batch(tasks)) for _ in range(reps)
-        )
-        out[name] = {
-            "serial_s": round(serial_s, 4),
-            "batched_s": round(batched_s, 4),
-            "serial_hb_per_s": round(heartbeats / serial_s),
-            "batched_hb_per_s": round(heartbeats / batched_s),
-            "speedup": round(serial_s / batched_s, 2),
-        }
-    return out
 
 
 def bench_crash_runs(smoke: bool) -> dict:
@@ -323,7 +252,6 @@ def collect(smoke: bool) -> dict:
         "date": time.strftime("%Y-%m-%d"),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "fastsim_multiseed": bench_fastsim_multiseed(smoke),
         "crash_runs": bench_crash_runs(smoke),
         "analytic": bench_analytic(smoke),
         "telemetry": bench_telemetry_overhead(smoke),

@@ -48,7 +48,6 @@ def _fig12_tables(full: bool, jobs: int, batch_size: Optional[int]):
         target_mistakes=500 if full else 200,
         max_heartbeats=600_000_000 if full else 30_000_000,
         jobs=jobs,
-        batch_size=batch_size,
     )
     tables = [fig12_tmr_table(points), fig12_tm_table(points)]
     print()
@@ -58,8 +57,8 @@ def _fig12_tables(full: bool, jobs: int, batch_size: Optional[int]):
 
 # Each entry takes (full, jobs, batch_size).  `jobs` fans the
 # experiment's independent units (sweep points or crash runs) out over
-# worker processes via repro.sim.parallel; `batch_size` routes
-# compatible units through the vectorized batch kernels of
+# worker processes via repro.sim.parallel; `batch_size` routes the
+# detection-time crash runs through the vectorized crash-run kernel of
 # repro.sim.batch (batching within a worker composes with jobs across
 # workers).  Experiments without the corresponding axis simply ignore
 # them.  Results are bit-identical for every jobs/batch_size value.
@@ -70,11 +69,7 @@ _EXPERIMENTS: Dict[str, Callable[[bool, int, Optional[int]], list]] = {
         run_nfde_window(target_mistakes=3000 if full else 800, jobs=jobs)
     ],
     "optimality": lambda full, jobs, batch: [
-        run_optimality(
-            target_mistakes=5000 if full else 1000,
-            jobs=jobs,
-            batch_size=batch,
-        )
+        run_optimality(target_mistakes=5000 if full else 1000, jobs=jobs)
     ],
     "detection-time": lambda full, jobs, batch: [
         run_detection_time(
@@ -82,11 +77,7 @@ _EXPERIMENTS: Dict[str, Callable[[bool, int, Optional[int]], list]] = {
         )
     ],
     "cutoff-ablation": lambda full, jobs, batch: [
-        run_cutoff_ablation(
-            target_mistakes=2000 if full else 500,
-            jobs=jobs,
-            batch_size=batch,
-        )
+        run_cutoff_ablation(target_mistakes=2000 if full else 500, jobs=jobs)
     ],
     "distributions": lambda full, jobs, batch: [
         run_distributions(target_mistakes=2000 if full else 500)
@@ -163,10 +154,11 @@ def main(argv: Optional[list] = None) -> int:
         type=int,
         default=None,
         help=(
-            "replica batch size for the vectorized batch kernels "
-            "(repro.sim.batch); composes with --jobs (batch within a "
-            "worker, workers across cores); results are bit-identical "
-            "to the unbatched path for the same seed"
+            "detection-time only: crash-run batch size for the "
+            "vectorized crash-run kernel (repro.sim.batch); composes "
+            "with --jobs (batch within a worker, workers across cores); "
+            "results are bit-identical to the unbatched path for the "
+            "same seed; other experiments ignore it"
         ),
     )
     parser.add_argument(

@@ -20,10 +20,10 @@ from repro.experiments.common import (
     Fig12Settings,
     steady_state_warmup,
 )
-from repro.sim.batch import (
-    AccuracyTask,
-    run_accuracy_task,
-    run_accuracy_tasks_batched,
+from repro.sim.fastsim import (
+    FastAccuracyResult,
+    simulate_nfds_fast,
+    simulate_sfd_fast,
 )
 from repro.sim.parallel import parallel_map
 
@@ -38,14 +38,11 @@ def run_cutoff_ablation(
     max_heartbeats: int = 20_000_000,
     seed: int = 808,
     jobs: Optional[int] = 1,
-    batch_size: Optional[int] = None,
 ) -> ExperimentTable:
     """Sweep the SFD cutoff at a fixed detection bound.
 
     ``jobs`` fans the cutoff points (plus the NFD-S reference) out over
-    worker processes with identical results.  With a ``batch_size`` the
-    whole cutoff sweep advances as one lockstep multi-seed SFD batch —
-    again bit-identical.
+    worker processes with identical results.
     """
     if cutoffs is None:
         cutoffs = [0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.28]
@@ -70,7 +67,7 @@ def run_cutoff_ablation(
     )
     sweep = [c for c in cutoffs if c < tdu]
 
-    def task_for(c: Optional[float]) -> AccuracyTask:
+    def run_point(c: Optional[float]) -> FastAccuracyResult:
         common = dict(
             loss_probability=p_l,
             delay=delay,
@@ -78,35 +75,23 @@ def run_cutoff_ablation(
             max_heartbeats=max_heartbeats,
         )
         if c is None:  # the NFD-S reference at equal rate and bound
-            return AccuracyTask(
-                "nfds",
-                dict(
-                    eta=eta,
-                    delta=tdu - eta,
-                    seed=seed + 1,
-                    warmup=steady_state_warmup(eta, delta=tdu - eta),
-                    **common,
-                ),
-            )
-        return AccuracyTask(
-            "sfd",
-            dict(
+            return simulate_nfds_fast(
                 eta=eta,
-                timeout=tdu - c,
-                cutoff=c,
-                seed=seed,
-                warmup=steady_state_warmup(eta, timeout=tdu - c, cutoff=c),
+                delta=tdu - eta,
+                seed=seed + 1,
+                warmup=steady_state_warmup(eta, delta=tdu - eta),
                 **common,
-            ),
+            )
+        return simulate_sfd_fast(
+            eta=eta,
+            timeout=tdu - c,
+            cutoff=c,
+            seed=seed,
+            warmup=steady_state_warmup(eta, timeout=tdu - c, cutoff=c),
+            **common,
         )
 
-    tasks = [task_for(c) for c in sweep + [None]]
-    if batch_size is not None:
-        results = run_accuracy_tasks_batched(
-            tasks, batch_size=batch_size, jobs=jobs
-        )
-    else:
-        results = parallel_map(run_accuracy_task, tasks, jobs=jobs)
+    results = parallel_map(run_point, sweep + [None], jobs=jobs)
     for c, r in zip(sweep, results):
         model = (
             SFDAnalysis(eta, tdu - c, p_l, delay, cutoff=c).e_tmr()

@@ -35,12 +35,12 @@ from repro.experiments.common import (
     Fig12Settings,
     steady_state_warmup,
 )
-from repro.sim.batch import (
-    AccuracyTask,
-    run_accuracy_task,
-    run_accuracy_tasks_batched,
+from repro.sim.fastsim import (
+    FastAccuracyResult,
+    simulate_nfde_fast,
+    simulate_nfds_fast,
+    simulate_sfd_fast,
 )
-from repro.sim.fastsim import FastAccuracyResult
 from repro.sim.parallel import parallel_map
 
 __all__ = [
@@ -65,19 +65,18 @@ class Fig12Point:
     sfd_s: FastAccuracyResult
 
 
-def _fig12_tasks(
+def _fig12_point(
     idx: int,
     tdu: float,
     settings: Fig12Settings,
     target_mistakes: int,
     max_heartbeats: int,
     seed: int,
-) -> List[AccuracyTask]:
-    """The four accuracy tasks (nfds, nfde, sfd_l, sfd_s) of one point.
+) -> Fig12Point:
+    """Evaluate one ``T_D^U`` grid point (all four algorithms).
 
-    Seeds are a pure function of ``(seed, idx)``, so tasks can be
-    evaluated in any order — on any worker, through the serial kernels
-    or the batched executor — with identical results.
+    Seeds are a pure function of ``(seed, idx)``, so points can be
+    evaluated in any order, on any worker, with identical results.
     """
     delay = settings.delay
     eta = settings.eta
@@ -92,101 +91,46 @@ def _fig12_tasks(
         target_mistakes=target_mistakes,
         max_heartbeats=max_heartbeats,
     )
-    return [
-        AccuracyTask(
-            "nfds",
-            dict(
-                eta=eta,
-                delta=delta,
-                seed=seed + 7 * idx,
-                warmup=steady_state_warmup(eta, delta=delta),
-                **common,
-            ),
-        ),
-        AccuracyTask(
-            "nfde",
-            dict(
-                eta=eta,
-                alpha=alpha,
-                window=settings.nfde_window,
-                seed=seed + 7 * idx + 1,
-                warmup=steady_state_warmup(
-                    eta,
-                    alpha=alpha,
-                    mean_delay=settings.mean_delay,
-                    window=settings.nfde_window,
-                ),
-                **common,
-            ),
-        ),
-        AccuracyTask(
-            "sfd",
-            dict(
-                eta=eta,
-                timeout=tdu - settings.cutoff_large,
-                cutoff=settings.cutoff_large,
-                seed=seed + 7 * idx + 2,
-                warmup=steady_state_warmup(
-                    eta,
-                    timeout=tdu - settings.cutoff_large,
-                    cutoff=settings.cutoff_large,
-                ),
-                **common,
-            ),
-        ),
-        AccuracyTask(
-            "sfd",
-            dict(
-                eta=eta,
-                timeout=tdu - settings.cutoff_small,
-                cutoff=settings.cutoff_small,
-                seed=seed + 7 * idx + 3,
-                warmup=steady_state_warmup(
-                    eta,
-                    timeout=tdu - settings.cutoff_small,
-                    cutoff=settings.cutoff_small,
-                ),
-                **common,
-            ),
-        ),
-    ]
 
+    def sfd(cutoff: float, seed_offset: int) -> FastAccuracyResult:
+        return simulate_sfd_fast(
+            eta=eta,
+            timeout=tdu - cutoff,
+            cutoff=cutoff,
+            seed=seed + 7 * idx + seed_offset,
+            warmup=steady_state_warmup(
+                eta, timeout=tdu - cutoff, cutoff=cutoff
+            ),
+            **common,
+        )
 
-def _fig12_assemble(
-    tdu: float,
-    settings: Fig12Settings,
-    results: List[FastAccuracyResult],
-) -> Fig12Point:
-    """Combine the four task results of one point with its analytics."""
-    eta = settings.eta
-    delta = tdu - eta
-    analysis = NFDSAnalysis(eta, delta, settings.loss_probability, settings.delay)
-    nfds, nfde, sfd_l, sfd_s = results
+    analysis = NFDSAnalysis(eta, delta, p_l, delay)
     return Fig12Point(
         tdu=tdu,
         analytic_tmr=analysis.e_tmr(),
         analytic_tm=analysis.e_tm(),
-        nfds=nfds,
-        nfde=nfde,
-        sfd_l=sfd_l,
-        sfd_s=sfd_s,
-    )
-
-
-def _fig12_point(
-    idx: int,
-    tdu: float,
-    settings: Fig12Settings,
-    target_mistakes: int,
-    max_heartbeats: int,
-    seed: int,
-) -> Fig12Point:
-    """Evaluate one ``T_D^U`` grid point (all four algorithms)."""
-    tasks = _fig12_tasks(
-        idx, tdu, settings, target_mistakes, max_heartbeats, seed
-    )
-    return _fig12_assemble(
-        tdu, settings, [run_accuracy_task(t) for t in tasks]
+        nfds=simulate_nfds_fast(
+            eta=eta,
+            delta=delta,
+            seed=seed + 7 * idx,
+            warmup=steady_state_warmup(eta, delta=delta),
+            **common,
+        ),
+        nfde=simulate_nfde_fast(
+            eta=eta,
+            alpha=alpha,
+            window=settings.nfde_window,
+            seed=seed + 7 * idx + 1,
+            warmup=steady_state_warmup(
+                eta,
+                alpha=alpha,
+                mean_delay=settings.mean_delay,
+                window=settings.nfde_window,
+            ),
+            **common,
+        ),
+        sfd_l=sfd(settings.cutoff_large, 2),
+        sfd_s=sfd(settings.cutoff_small, 3),
     )
 
 
@@ -197,7 +141,6 @@ def run_fig12(
     max_heartbeats: int = 50_000_000,
     seed: int = 2000,
     jobs: Optional[int] = 1,
-    batch_size: Optional[int] = None,
 ) -> List[Fig12Point]:
     """Run the Fig. 12 sweep; one :class:`Fig12Point` per ``T_D^U``.
 
@@ -207,30 +150,10 @@ def run_fig12(
 
     ``jobs`` fans the grid points out over worker processes
     (:mod:`repro.sim.parallel`); results are bit-identical to ``jobs=1``
-    for the same seed.  ``0``/``None`` uses all cores.  ``batch_size``
-    instead flattens the sweep into per-algorithm tasks and runs
-    compatible ones through the lockstep multi-seed kernels
-    (:func:`repro.sim.batch.run_accuracy_tasks_batched`) — e.g. all the
-    SFD points of the sweep advance as one batch — again bit-identical.
+    for the same seed.  ``0``/``None`` uses all cores.
     """
     if tdu_values is None:
         tdu_values = settings.tdu_grid()
-
-    if batch_size is not None:
-        tasks = [
-            task
-            for idx, tdu in enumerate(tdu_values)
-            for task in _fig12_tasks(
-                idx, tdu, settings, target_mistakes, max_heartbeats, seed
-            )
-        ]
-        results = run_accuracy_tasks_batched(
-            tasks, batch_size=batch_size, jobs=jobs
-        )
-        return [
-            _fig12_assemble(tdu, settings, results[4 * i : 4 * i + 4])
-            for i, tdu in enumerate(tdu_values)
-        ]
 
     def point(args) -> Fig12Point:
         idx, tdu = args

@@ -82,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="detector backend: per-peer hosts or the shared SoA engine",
     )
     soak.add_argument(
-        "--drain-batch",
-        type=int,
-        default=256,
-        help="datagrams drained per consumer wakeup (1 = per-datagram)",
-    )
-    soak.add_argument(
         "--fanout",
         action="store_true",
         help=(
@@ -138,12 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="detector backend: per-peer hosts or the shared SoA engine",
     )
     mon.add_argument(
-        "--drain-batch",
-        type=int,
-        default=256,
-        help="datagrams drained per consumer wakeup (1 = per-datagram)",
-    )
-    mon.add_argument(
         "--no-batched-socket",
         action="store_true",
         help=(
@@ -177,7 +165,6 @@ def _run_soak(args) -> int:
         kill_after=args.kill_after,
         seed=args.seed,
         engine=args.engine,
-        drain_batch=args.drain_batch,
         fanout=args.fanout,
     )
     result = run_soak(config)
@@ -230,7 +217,6 @@ def _run_monitor(args) -> int:
                 report_every=args.report_every,
                 registry=registry,
                 engine=args.engine,
-                drain_batch=args.drain_batch,
                 batched_socket=not args.no_batched_socket,
             )
         )

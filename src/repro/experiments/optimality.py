@@ -18,10 +18,10 @@ from repro.experiments.common import (
     Fig12Settings,
     steady_state_warmup,
 )
-from repro.sim.batch import (
-    AccuracyTask,
-    run_accuracy_task,
-    run_accuracy_tasks_batched,
+from repro.sim.fastsim import (
+    FastAccuracyResult,
+    simulate_nfds_fast,
+    simulate_sfd_fast,
 )
 from repro.sim.parallel import parallel_map
 
@@ -36,15 +36,11 @@ def run_optimality(
     max_heartbeats: int = 20_000_000,
     seed: int = 606,
     jobs: Optional[int] = 1,
-    batch_size: Optional[int] = None,
 ) -> ExperimentTable:
     """Compare ``P_A`` across same-rate, same-detection-bound detectors.
 
     ``jobs`` fans the table rows out over worker processes; the rows
-    (and their seeds) are identical to serial evaluation.  With a
-    ``batch_size``, compatible rows (all NFD-S rows share k, all SFD
-    rows share the schedule) advance through the lockstep multi-seed
-    kernels instead — bit-identical again.
+    (and their seeds) are identical to serial evaluation.
     """
     if cutoffs is None:
         cutoffs = [0.04, 0.08, 0.16, 0.32, 0.64]
@@ -74,7 +70,7 @@ def run_optimality(
             continue
         cases.append((f"SFD (c={c:g})", "sfd", c, seed + 2))
 
-    def task_for(case) -> AccuracyTask:
+    def run_case(case) -> FastAccuracyResult:
         _label, kind, param, case_seed = case
         common = dict(
             loss_probability=p_l,
@@ -84,35 +80,23 @@ def run_optimality(
             max_heartbeats=max_heartbeats,
         )
         if kind == "nfds":
-            return AccuracyTask(
-                "nfds",
-                dict(
-                    eta=eta,
-                    delta=param,
-                    warmup=steady_state_warmup(eta, delta=param),
-                    **common,
-                ),
-            )
-        return AccuracyTask(
-            "sfd",
-            dict(
+            return simulate_nfds_fast(
                 eta=eta,
-                timeout=tdu - param,
-                cutoff=param,
-                warmup=steady_state_warmup(
-                    eta, timeout=tdu - param, cutoff=param
-                ),
+                delta=param,
+                warmup=steady_state_warmup(eta, delta=param),
                 **common,
+            )
+        return simulate_sfd_fast(
+            eta=eta,
+            timeout=tdu - param,
+            cutoff=param,
+            warmup=steady_state_warmup(
+                eta, timeout=tdu - param, cutoff=param
             ),
+            **common,
         )
 
-    tasks = [task_for(case) for case in cases]
-    if batch_size is not None:
-        results = run_accuracy_tasks_batched(
-            tasks, batch_size=batch_size, jobs=jobs
-        )
-    else:
-        results = parallel_map(run_accuracy_task, tasks, jobs=jobs)
+    results = parallel_map(run_case, cases, jobs=jobs)
     for (label, _kind, _param, _seed), r in zip(cases, results):
         table.add_row(
             label,

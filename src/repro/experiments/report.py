@@ -26,9 +26,10 @@ def generate_report(
 ) -> Path:
     """Run experiments and write a markdown report; returns the path.
 
-    ``jobs`` and ``batch_size`` are forwarded to the parallel- and
-    batch-capable experiments (see ``python -m repro.experiments
-    --jobs/--batch-size``); they change only wall time, never results.
+    ``jobs`` is forwarded to the parallel-capable experiments and
+    ``batch_size`` to the detection-time crash-run kernel (see
+    ``python -m repro.experiments --jobs/--batch-size``); they change
+    only wall time, never results.
     ``telemetry_out`` enables the telemetry layer for the duration of
     the run, appends one JSON-lines snapshot per experiment to that
     path, and adds a counter-summary section to the report.

@@ -45,12 +45,7 @@ from repro.live.runtime import LiveDetectorHost
 from repro.live.soa import LoopWheelScheduler, SoALiveHost
 from repro.live.supervisor import TaskSupervisor
 from repro.service.soa import VectorMonitorEngine, supports_detector
-from repro.live.wire import (
-    HeartbeatBatchDecoder,
-    LiveHeartbeat,
-    WireError,
-    decode_heartbeat,
-)
+from repro.live.wire import HeartbeatBatchDecoder, WireError
 from repro.metrics.transitions import SUSPECT, OutputTrace
 from repro.service.events import MonitorEvent
 from repro.telemetry.qos_online import OnlineQoSEstimator
@@ -62,6 +57,11 @@ DetectorFactory = Callable[[int], HeartbeatFailureDetector]
 
 #: auto-admission hook: name -> (detector_factory, eta), or None to refuse.
 AdmitHook = Callable[[str], Optional[tuple]]
+
+#: Most datagrams the consumer dispatches per wakeup.  A backlog larger
+#: than this is split into several chunks so one burst cannot hold the
+#: loop for longer than one chunk's work.
+_DRAIN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,18 @@ class LiveMonitorService:
             :class:`LiveDetectorHost` with per-peer loop timers;
             ``"soa"`` hosts NFD-S/U/E peers in a shared
             :class:`~repro.service.soa.VectorMonitorEngine` — one armed
-            loop timer for the whole service — which is what a monitor
-            tracking 10^4+ live peers needs.  Verdicts are identical.
-        drain_batch: how many queued datagrams the consumer drains per
-            wakeup.  ``1`` reproduces the historical one-datagram-at-a-
-            time dispatch exactly; larger values decode the chunk with
-            the allocation-light batch decoder and (under the SoA
-            engine) apply all receipts via one
-            :meth:`~repro.service.soa.VectorMonitorEngine.ingest` call.
-            Verdicts and every counter are identical either way — the
-            batched-drain equality suite pins it.
+            loop timer for the whole service, and one vectorized
+            :meth:`~repro.service.soa.VectorMonitorEngine.ingest` per
+            drained chunk.  Verdicts are identical; the cost is not.
+            Object wins when each consumer wakeup carries about one
+            datagram (the ``fleet`` benchmark workload: senders on
+            spread periods), because SoA pays a fixed cost per ingest;
+            SoA wins on bursts (the ``incast`` workload: many senders
+            on one send grid), where one ingest covers a large chunk.
+
+    The inbox consumer drains up to a fixed chunk of queued datagrams
+    per wakeup and dispatches them through one routine
+    (:meth:`_dispatch_batch`); a chunk of one datagram is just a chunk.
     """
 
     def __init__(
@@ -141,7 +143,6 @@ class LiveMonitorService:
         keep_traces: bool = True,
         auto_admit: Optional[AdmitHook] = None,
         engine: str = "object",
-        drain_batch: int = 256,
     ) -> None:
         if inbox_limit < 1:
             raise InvalidParameterError(
@@ -150,10 +151,6 @@ class LiveMonitorService:
         if engine not in ("object", "soa"):
             raise InvalidParameterError(
                 f"unknown engine {engine!r}; expected 'object' or 'soa'"
-            )
-        if drain_batch < 1:
-            raise InvalidParameterError(
-                f"drain_batch must be >= 1, got {drain_batch}"
             )
         self._loop = (
             loop if loop is not None else asyncio.get_running_loop()
@@ -168,7 +165,6 @@ class LiveMonitorService:
         self._engine_kind = engine
         self._soa_engine: Optional[VectorMonitorEngine] = None
         self._soa_scheduler: Optional[LoopWheelScheduler] = None
-        self._drain_batch = int(drain_batch)
         self._decoder = HeartbeatBatchDecoder()
         # Reused accumulators for the SoA ingest path.  Receipt times
         # are constant within a chunk segment (one clock read per
@@ -256,11 +252,6 @@ class LiveMonitorService:
     def engine(self) -> str:
         """The selected backend (``"object"`` or ``"soa"``)."""
         return self._engine_kind
-
-    @property
-    def drain_batch(self) -> int:
-        """Datagrams drained from the inbox per consumer wakeup."""
-        return self._drain_batch
 
     @property
     def soa_engine(self) -> Optional[VectorMonitorEngine]:
@@ -532,33 +523,28 @@ class LiveMonitorService:
         heartbeat so it cannot poison the reorder-horizon accounting
         (the message *did* traverse the network)."""
         try:
-            hb = decode_heartbeat(payload)
+            sender, incarnation, seq, _ = self._decoder.decode_fields(
+                payload
+            )
         except WireError:
             return  # junk; nothing to protect
-        peer = self._peers.get(hb.sender)
+        peer = self._peers.get(sender)
         if (
             peer is None
             or peer.host is None
-            or hb.incarnation != peer.incarnation
+            or incarnation != peer.incarnation
         ):
             return
         observer = peer.host.observer
         if observer is not None:
-            observer.note_local_drop(hb.seq)
+            observer.note_local_drop(seq)
             self._c_drop_noted.inc()
 
     async def _consume(self) -> None:
         inbox = self._inbox
         ready = self._inbox_ready
         popleft = inbox.popleft
-        if self._drain_batch == 1:
-            while True:
-                if not inbox:
-                    ready.clear()
-                    await ready.wait()
-                self._dispatch(popleft())
-            return
-        limit = self._drain_batch
+        limit = _DRAIN_CHUNK
         while True:
             # Block for the first datagram, then opportunistically drain
             # the backlog up to the chunk limit: under load one consumer
@@ -600,13 +586,18 @@ class LiveMonitorService:
         marks.clear()
 
     def _dispatch_batch(self, payloads: List[bytes]) -> None:
-        """Decode and dispatch one drained chunk.
+        """Decode and dispatch one drained chunk, datagram by datagram.
 
-        Same decision procedure as :meth:`_dispatch`, datagram by
-        datagram, in arrival order — junk, unknown-sender, stale- and
-        higher-incarnation handling are identical and every counter
-        ends at the same value.  The differences are mechanical: the
-        chunk is decoded by the allocation-light
+        Each datagram, in arrival order: junk is counted invalid; an
+        unknown sender is offered to the admission hook and counted
+        unknown if refused; a lower incarnation is a stale straggler;
+        a higher one means the peer restarted (footnote 2 — a new
+        identity), so the old incarnation's books are closed and a
+        fresh detector started; a heartbeat sequenced before the
+        incarnation's window is counted pre-window.  Everything else
+        reaches the peer's host.
+
+        The chunk is decoded by the allocation-light
         :class:`~repro.live.wire.HeartbeatBatchDecoder` (tuples +
         interned names, no per-message dataclass), counters are
         incremented once per chunk, and deliveries to SoA-hosted peers
@@ -681,6 +672,9 @@ class LiveMonitorService:
                 try:
                     host.deliver_parts(seq, sigma)
                 except EstimationError:
+                    # Sequenced before this incarnation's window (clock
+                    # skew on the sender side, or a straggler from
+                    # before a restart).
                     n_prewindow += 1
                     continue
                 n_dispatched += 1
@@ -695,40 +689,6 @@ class LiveMonitorService:
             self._c_prewindow.inc(n_prewindow)
         if n_dispatched:
             self._c_dispatched.inc(n_dispatched)
-
-    def _dispatch(self, payload: bytes) -> None:
-        try:
-            hb = decode_heartbeat(payload)
-        except WireError:
-            self._c_invalid.inc()
-            return
-        peer = self._peers.get(hb.sender)
-        if peer is None:
-            peer = self._try_admit(hb.sender)
-            if peer is None:
-                self._c_unknown.inc()
-                return
-        if hb.incarnation < peer.incarnation or peer.host is None:
-            self._c_stale.inc()
-            return
-        if hb.incarnation > peer.incarnation:
-            # The peer restarted: footnote 2 — a new identity.  Close the
-            # old incarnation's books and start a fresh detector.
-            self._c_restarts.inc()
-            self._finalize_incarnation(peer)
-            self._start_incarnation(peer, incarnation=hb.incarnation)
-        self._deliver(peer, hb)
-
-    def _deliver(self, peer: _Peer, hb: LiveHeartbeat) -> None:
-        assert peer.host is not None
-        try:
-            peer.host.deliver(hb)
-        except EstimationError:
-            # Sequenced before this incarnation's window (clock skew on
-            # the sender side, or a straggler from before a restart).
-            self._c_prewindow.inc()
-            return
-        self._c_dispatched.inc()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -753,15 +713,12 @@ class LiveMonitorService:
         if self._started:
             await self._supervisor.shutdown()
         # Drain datagrams that were queued but not yet consumed, so a
-        # burst right before shutdown still reaches the books — through
-        # the same path the consumer would have used.
+        # burst right before shutdown still reaches the books — in the
+        # same chunks the consumer would have used.
         leftovers: List[bytes] = list(self._inbox)
         self._inbox.clear()
-        if self._drain_batch == 1:
-            for payload in leftovers:
-                self._dispatch(payload)
-        elif leftovers:
-            self._dispatch_batch(leftovers)
+        for start in range(0, len(leftovers), _DRAIN_CHUNK):
+            self._dispatch_batch(leftovers[start : start + _DRAIN_CHUNK])
         for name in sorted(self._peers):
             self._finalize_incarnation(self._peers[name])
         if self._soa_scheduler is not None:

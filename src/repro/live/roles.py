@@ -115,7 +115,6 @@ async def run_udp_monitor(
     registry=None,
     emit: Callable[[str], None] = print,
     engine: str = "object",
-    drain_batch: int = 256,
     batched_socket: bool = True,
 ) -> LiveMonitorService:
     """Monitor whatever senders appear at ``host:port``.
@@ -125,11 +124,9 @@ async def run_udp_monitor(
     ``report_every`` seconds a one-line status is emitted.  Returns the
     (closed) service so callers can inspect results and telemetry.
 
-    ``engine``, ``drain_batch`` and ``batched_socket`` select the fast
-    datapath (SoA detector tables, chunked inbox drain, recv_into
-    socket drain); the defaults keep the batched consumer on the
-    object backend, which is verdict-identical to the historical
-    per-datagram dispatch.
+    ``engine`` and ``batched_socket`` select the datapath (SoA detector
+    tables or per-peer hosts; recv_into socket drain or the asyncio
+    endpoint); every choice is verdict-identical.
     """
     loop = asyncio.get_running_loop()
     service = LiveMonitorService(
@@ -138,7 +135,6 @@ async def run_udp_monitor(
         registry=registry,
         keep_traces=False,  # a real monitor runs indefinitely
         engine=engine,
-        drain_batch=drain_batch,
         auto_admit=lambda name: (
             detector_factory_for(detector, eta, delta),
             eta,

@@ -84,8 +84,6 @@ class SoakConfig:
     detect_allowance: float = 0.25
     #: detector backend: "object" (per-peer hosts) or "soa" (shared engine).
     engine: str = "object"
-    #: datagrams drained per consumer wakeup (1 = per-datagram dispatch).
-    drain_batch: int = 256
     #: pace all senders off one HeartbeatFanout timer instead of one
     #: asyncio task per sender.
     fanout: bool = False
@@ -110,10 +108,6 @@ class SoakConfig:
         if self.engine not in ("object", "soa"):
             raise InvalidParameterError(
                 f"unknown engine {self.engine!r}; expected 'object' or 'soa'"
-            )
-        if self.drain_batch < 1:
-            raise InvalidParameterError(
-                f"drain_batch must be >= 1, got {self.drain_batch}"
             )
         kill_at = self.kill_time
         if self.kill and not (
@@ -345,7 +339,6 @@ async def soak(config: SoakConfig) -> SoakResult:
         warmup=config.effective_warmup,
         keep_traces=True,
         engine=config.engine,
-        drain_batch=config.drain_batch,
     )
     network = LoopbackNetwork(loop)
     network.attach_monitor(service.on_datagram)

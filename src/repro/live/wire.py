@@ -89,32 +89,11 @@ def decode_heartbeat(payload: bytes) -> LiveHeartbeat:
 
     A monitor bound to a real UDP port will receive stray datagrams
     (port scans, misdirected traffic); decoding failures are ordinary
-    events to be counted, not crashes.
+    events to be counted, not crashes.  The checks are those of
+    :meth:`HeartbeatBatchDecoder._decode_validated`, run on a fresh
+    decoder so that callers share no cache state.
     """
-    if len(payload) < _HEADER.size:
-        raise WireError(f"datagram too short ({len(payload)} bytes)")
-    magic, version, incarnation, seq, send_local_time, name_len = (
-        _HEADER.unpack_from(payload)
-    )
-    if magic != MAGIC:
-        raise WireError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise WireError(f"unsupported version {version}")
-    name = payload[_HEADER.size : _HEADER.size + name_len]
-    if len(name) != name_len:
-        raise WireError(
-            f"truncated name: header says {name_len}, got {len(name)} bytes"
-        )
-    try:
-        sender = name.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"sender name is not UTF-8: {exc}") from None
-    return LiveHeartbeat(
-        sender=sender,
-        incarnation=incarnation,
-        seq=seq,
-        send_local_time=send_local_time,
-    )
+    return LiveHeartbeat(*HeartbeatBatchDecoder()._decode_validated(payload))
 
 
 # ---------------------------------------------------------------------- #
@@ -171,8 +150,7 @@ class HeartbeatEncoder:
 class HeartbeatBatchDecoder:
     """Decoder for the monitor's drain loop: no per-message dataclass.
 
-    :meth:`decode_fields` performs exactly the validation of
-    :func:`decode_heartbeat` but returns a plain
+    :meth:`decode_fields` returns a plain
     ``(sender, incarnation, seq, send_local_time)`` tuple, and resolves
     the sender name through an interning cache — a monitor receiving
     thousands of heartbeats per second from a fixed population decodes
@@ -187,7 +165,8 @@ class HeartbeatBatchDecoder:
     header unpack and every validation step those constant bytes
     already passed: one dict probe plus one 16-byte unpack per message.
     A key can only enter the cache through the fully-validating slow
-    path, so junk never hits.
+    path (:meth:`_decode_validated`, which :func:`decode_heartbeat` also
+    uses), so junk never hits.
     """
 
     __slots__ = ("_names", "_prefix", "_max_names")
@@ -207,8 +186,8 @@ class HeartbeatBatchDecoder:
         # Fast path: everything but (seq, σ) matched a previously
         # validated payload byte-for-byte.  The key length pins the
         # payload length too (|key| = |payload| − 16), so a hit implies
-        # the header unpack and name checks below would succeed with
-        # identical results.
+        # the header unpack and name checks of the validating path
+        # would succeed with identical results.
         if type(payload) is bytes:
             key = payload[:_SEQ_SIGMA_OFFSET] + payload[_HEADER.size - 2 :]
         else:  # bytearray / memoryview: slices are not hashable bytes
@@ -221,6 +200,16 @@ class HeartbeatBatchDecoder:
                 payload, _SEQ_SIGMA_OFFSET
             )
             return hit[0], hit[1], seq, send_local_time
+        fields = self._decode_validated(payload)
+        if len(self._prefix) >= self._max_names:
+            self._prefix.clear()
+        self._prefix[key] = fields[:2]
+        return fields
+
+    def _decode_validated(self, payload) -> Tuple[str, int, int, float]:
+        """The one validating decode: length, magic, version, name
+        length and UTF-8 are all checked here, with sender names
+        interned through the bounded name cache."""
         if len(payload) < _HEADER.size:
             raise WireError(f"datagram too short ({len(payload)} bytes)")
         magic, version, incarnation, seq, send_local_time, name_len = (
@@ -247,7 +236,4 @@ class HeartbeatBatchDecoder:
             if len(self._names) >= self._max_names:
                 self._names.clear()
             self._names[name] = sender
-        if len(self._prefix) >= self._max_names:
-            self._prefix.clear()
-        self._prefix[key] = (sender, incarnation)
         return sender, incarnation, seq, send_local_time

@@ -13,19 +13,11 @@
   derivation shared by the serial and parallel paths;
 * :mod:`repro.sim.parallel` — a deterministic multiprocessing executor
   whose results are bit-identical to serial for any job count;
-* :mod:`repro.sim.batch` — batched replica kernels (crash-run ensembles
-  and multi-seed accuracy runs), bit-identical to the serial paths for
-  any batch size.
+* :mod:`repro.sim.batch` — the batched crash-run kernel, bit-identical
+  to the serial path for any batch size.
 """
 
-from repro.sim.batch import (
-    AccuracyTask,
-    run_accuracy_task,
-    run_accuracy_tasks_batched,
-    run_crash_runs_batched,
-    simulate_nfds_fast_batch,
-    simulate_sfd_fast_batch,
-)
+from repro.sim.batch import run_crash_runs_batched
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.fastsim import (
     FastAccuracyResult,
@@ -69,10 +61,5 @@ __all__ = [
     "parallel_map",
     "run_crash_runs_parallel",
     "run_failure_free_parallel",
-    "AccuracyTask",
-    "run_accuracy_task",
-    "run_accuracy_tasks_batched",
     "run_crash_runs_batched",
-    "simulate_nfds_fast_batch",
-    "simulate_sfd_fast_batch",
 ]

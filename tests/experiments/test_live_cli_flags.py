@@ -25,8 +25,6 @@ class TestFastPathFlags:
                     "soak",
                     "--engine",
                     "soa",
-                    "--drain-batch",
-                    "64",
                     "--fanout",
                     "--duration",
                     "5",
@@ -34,7 +32,6 @@ class TestFastPathFlags:
             )
         config = captured["config"]
         assert config.engine == "soa"
-        assert config.drain_batch == 64
         assert config.fanout is True
 
     def test_monitor_flags_parse_with_defaults(self):
@@ -42,7 +39,7 @@ class TestFastPathFlags:
             ["monitor", "--port", "9999"]
         )
         assert args.engine == "object"
-        assert args.drain_batch == 256
+        assert not hasattr(args, "drain_batch")
         assert args.no_batched_socket is False
         assert args.uvloop is False
 

@@ -1,28 +1,41 @@
-"""Batched inbox drain ≡ per-datagram dispatch, decision for decision.
+"""The inbox drain makes the decisions the stream dictates.
 
-The fast path (``drain_batch > 1``: chunk decode, hoisted receipt
-clock, single SoA ingest per drain) must make exactly the decisions of
-the historical one-datagram-at-a-time consumer — same counters, same
-per-incarnation books, same detector transition kinds — under junk,
-unknown senders, reordering, incarnation restarts, stale stragglers,
-inbox overflow, and real wall-clock pacing.
+The consumer drains queued datagrams in chunks and dispatches each
+chunk through one routine (chunk decode, hoisted receipt clock, one SoA
+ingest per chunk).  Its decisions — junk, unknown senders, reordering,
+incarnation restarts, stale stragglers, inbox overflow, real wall-clock
+pacing — are pinned here as literals worked out from how each stream is
+built, for both engines and for chunk caps that split restarts and
+admissions across chunk boundaries (1, 3) or take the whole backlog at
+once (256).
 """
 
 from __future__ import annotations
 
 import asyncio
 
-import pytest
-
+import repro.live.monitor as monitor_mod
 from repro.core.nfd_s import NFDS
 from repro.live.monitor import LiveMonitorService
 from repro.live.wire import encode_heartbeat
 
-ETA, DELTA = 0.05, 0.03
+# η = 1 s: a restart processed within the first second of the run
+# starts its incarnation at first_seq = 1, so the books are literals.
+ETA, DELTA = 1.0, 0.5
+ENGINES = ("object", "soa")
+CHUNK_CAPS = (1, 3, 256)
 
 
 def _factory(first_seq):
     return NFDS(ETA, DELTA, first_seq=first_seq)
+
+
+def _modes(monkeypatch):
+    """Every engine × chunk cap, with the cap set on the module."""
+    for engine in ENGINES:
+        for cap in CHUNK_CAPS:
+            monkeypatch.setattr(monitor_mod, "_DRAIN_CHUNK", cap)
+            yield engine, cap
 
 
 def mixed_stream(n_senders=6, slots=10):
@@ -46,6 +59,36 @@ def mixed_stream(n_senders=6, slots=10):
     out.append(encode_heartbeat("s1", 0, 2, 2 * ETA))  # reordered tail
     return out
 
+
+# mixed_stream() with 6 senders × 10 slots: 60 slot heartbeats, plus
+# 1 junk datagram, 1 ghost, 15 stragglers (even senders, slots 6-10)
+# and the reordered tail = 78 datagrams.  Odd senders deliver all 10
+# slots (s1 also the tail); each even sender delivers slots 1-5 to
+# incarnation 0, restarts at slot 6 and delivers slots 6-10 to
+# incarnation 1, while its 5 stragglers are stale.
+MIXED_COUNTERS = {
+    "live_datagrams_received_total": 78,
+    "live_inbox_dropped_total": 0,
+    "live_dropped_heartbeats_noted_total": 0,
+    "live_datagrams_invalid_total": 1,
+    "live_unknown_sender_total": 1,
+    "live_stale_incarnation_total": 15,
+    "live_prewindow_heartbeats_total": 0,
+    "live_heartbeats_dispatched_total": 61,
+    "live_incarnation_restarts_total": 3,
+}
+# (name, incarnation, first_seq, delivered)
+MIXED_BOOKS = [
+    ("s0", 0, 1, 5),
+    ("s0", 1, 1, 5),
+    ("s1", 0, 1, 11),
+    ("s2", 0, 1, 5),
+    ("s2", 1, 1, 5),
+    ("s3", 0, 1, 10),
+    ("s4", 0, 1, 5),
+    ("s4", 1, 1, 5),
+    ("s5", 0, 1, 10),
+]
 
 PROCESSED_PREFIXES = (
     "live_heartbeats_dispatched",
@@ -72,16 +115,14 @@ def _counters(registry):
     }
 
 
-async def _dispatch_all(payloads, *, engine, drain, n_senders=6, **kw):
+async def _dispatch_all(payloads, *, engine, n_senders=6):
     loop = asyncio.get_running_loop()
     service = LiveMonitorService(
         loop=loop,
         origin=loop.time(),
         inbox_limit=len(payloads) + 1,
         engine=engine,
-        drain_batch=drain,
         keep_traces=False,
-        **kw,
     )
     for i in range(n_senders):
         service.add_peer(f"s{i}", _factory, eta=ETA)
@@ -99,46 +140,55 @@ async def _dispatch_all(payloads, *, engine, drain, n_senders=6, **kw):
 
 
 class TestDecisionIdentity:
-    def test_all_modes_agree_on_mixed_stream(self):
-        """Engine × drain (including an odd chunk size that splits
-        restarts and admissions across chunk boundaries) produce
-        identical counters and incarnation books."""
+    def test_all_modes_agree_on_mixed_stream(self, monkeypatch):
+        """Every engine × chunk cap ends at the stream's literal
+        counters and incarnation books."""
 
         async def main():
             payloads = mixed_stream()
-            baseline = await _dispatch_all(
-                payloads, engine="object", drain=1
-            )
-            for engine in ("object", "soa"):
-                for drain in (1, 3, 256):
-                    got = await _dispatch_all(
-                        payloads, engine=engine, drain=drain
-                    )
-                    assert got == baseline, (engine, drain)
-            counters, _ = baseline
-            # the stream really exercised every decision path
-            assert counters["live_datagrams_invalid_total"] > 0
-            assert counters["live_unknown_sender_total"] > 0
-            assert counters["live_stale_incarnation_total"] > 0
-            assert counters["live_incarnation_restarts_total"] > 0
+            assert len(payloads) == 78
+            for engine, cap in _modes(monkeypatch):
+                counters, books = await _dispatch_all(
+                    payloads, engine=engine
+                )
+                assert counters == MIXED_COUNTERS, (engine, cap)
+                assert books == MIXED_BOOKS, (engine, cap)
 
         asyncio.run(main())
 
-    def test_aclose_drains_leftovers_through_batch_path(self):
+    def test_aclose_drains_leftovers_through_batch_path(self, monkeypatch):
         """Datagrams queued but never consumed (service closed before
         the consumer ran) still reach the books — identically."""
+        # 3 senders × 4 slots: 12 slot heartbeats + junk + ghost + 4
+        # stragglers (s0, s2 at slots 3-4) + tail = 19 datagrams.
+        expected_counters = {
+            "live_datagrams_received_total": 19,
+            "live_inbox_dropped_total": 0,
+            "live_dropped_heartbeats_noted_total": 0,
+            "live_datagrams_invalid_total": 1,
+            "live_unknown_sender_total": 1,
+            "live_stale_incarnation_total": 4,
+            "live_prewindow_heartbeats_total": 0,
+            "live_heartbeats_dispatched_total": 13,
+            "live_incarnation_restarts_total": 2,
+        }
+        expected_books = [
+            ("s0", 0, 2),
+            ("s0", 1, 2),
+            ("s1", 0, 5),
+            ("s2", 0, 2),
+            ("s2", 1, 2),
+        ]
 
         async def main():
             payloads = mixed_stream(n_senders=3, slots=4)
-            results = {}
-            for drain in (1, 64):
+            for engine, cap in _modes(monkeypatch):
                 loop = asyncio.get_running_loop()
                 service = LiveMonitorService(
                     loop=loop,
                     origin=loop.time(),
                     inbox_limit=len(payloads) + 1,
-                    engine="soa",
-                    drain_batch=drain,
+                    engine=engine,
                     keep_traces=False,
                 )
                 for i in range(3):
@@ -146,40 +196,35 @@ class TestDecisionIdentity:
                 for payload in payloads:
                     service.on_datagram(payload)
                 books = await service.aclose()  # never started
-                results[drain] = (
-                    _counters(service.registry),
-                    sorted(
-                        (r.name, r.incarnation, r.delivered) for r in books
-                    ),
+                assert _counters(service.registry) == expected_counters, (
+                    engine,
+                    cap,
                 )
-            assert results[1] == results[64]
-            counters, _ = results[1]
-            assert counters["live_heartbeats_dispatched_total"] > 0
+                assert sorted(
+                    (r.name, r.incarnation, r.delivered) for r in books
+                ) == expected_books, (engine, cap)
 
         asyncio.run(main())
 
 
 class TestOverflow:
-    def test_inbox_overflow_counts_identically(self):
-        """The bounded deque inbox sheds exactly like the old queue:
-        every overflow datagram is dropped-and-counted, decodable sheds
-        are announced to the loss estimator, and the surviving prefix
-        dispatches identically under both drain modes."""
+    def test_inbox_overflow_counts_identically(self, monkeypatch):
+        """Every overflow datagram is dropped-and-counted, decodable
+        sheds are announced to the loss estimator (through the batch
+        decoder), and the surviving prefix dispatches — in every mode."""
 
         async def main():
             payloads = [
                 encode_heartbeat("s0", 0, seq, seq * ETA)
                 for seq in range(1, 21)
             ]
-            outcomes = {}
-            for drain in (1, 256):
+            for engine, cap in _modes(monkeypatch):
                 loop = asyncio.get_running_loop()
                 service = LiveMonitorService(
                     loop=loop,
                     origin=loop.time(),
                     inbox_limit=8,
-                    engine="soa",
-                    drain_batch=drain,
+                    engine=engine,
                     keep_traces=False,
                 )
                 service.add_peer("s0", _factory, eta=ETA)
@@ -189,15 +234,15 @@ class TestOverflow:
                 while _processed(service.registry) < 8:
                     await asyncio.sleep(0)
                 await service.aclose()
-                outcomes[drain] = _counters(service.registry)
-            assert outcomes[1] == outcomes[256]
-            counters = outcomes[1]
-            assert counters["live_datagrams_received_total"] == 20
-            assert counters["live_inbox_dropped_total"] == 12
-            # every shed datagram decoded to a current-incarnation
-            # heartbeat, so all were noted to the loss estimator
-            assert counters["live_dropped_heartbeats_noted_total"] == 12
-            assert counters["live_heartbeats_dispatched_total"] == 8
+                counters = _counters(service.registry)
+                assert counters["live_datagrams_received_total"] == 20
+                assert counters["live_inbox_dropped_total"] == 12
+                # every shed datagram decoded to a current-incarnation
+                # heartbeat, so all were noted to the loss estimator
+                assert (
+                    counters["live_dropped_heartbeats_noted_total"] == 12
+                ), (engine, cap)
+                assert counters["live_heartbeats_dispatched_total"] == 8
 
         asyncio.run(main())
 
@@ -216,7 +261,6 @@ class TestObserveFlag:
                     loop=loop,
                     origin=loop.time(),
                     engine="soa",
-                    drain_batch=256,
                     keep_traces=False,
                 )
                 service.add_peer("s0", _factory, eta=ETA, observe=observe)
@@ -234,11 +278,10 @@ class TestObserveFlag:
 
 
 class TestPacedTransitions:
-    def test_transition_kinds_match_under_real_pacing(self):
+    def test_transition_kinds_match_under_real_pacing(self, monkeypatch):
         """A wall-clock run with deliberately dropped heartbeats forces
         a deterministic S/T kind sequence (margins ≫ timer jitter);
-        batched SoA and per-datagram object dispatch must both produce
-        it."""
+        every engine and chunk cap must produce it."""
         eta, delta = 0.08, 0.04
         # seq i arrives at i·η + 5 ms; seqs 4, 5 are dropped; nothing
         # after seq 8.  Freshness points sit at i·η + δ, so every
@@ -249,14 +292,13 @@ class TestPacedTransitions:
         sends = [i for i in range(1, 9) if i not in (4, 5)]
         expected = ["T", "S", "T", "S"]
 
-        async def run_one(engine, drain):
+        async def run_one(engine):
             loop = asyncio.get_running_loop()
             origin = loop.time() + 0.02
             service = LiveMonitorService(
                 loop=loop,
                 origin=origin,
                 engine=engine,
-                drain_batch=drain,
                 keep_traces=True,
             )
             service.add_peer(
@@ -277,15 +319,16 @@ class TestPacedTransitions:
             return [t.kind.value for t in result.trace.transitions]
 
         async def main():
-            for mode in (("object", 1), ("soa", 1), ("soa", 256)):
+            for engine, cap in _modes(monkeypatch):
                 # A loaded machine can push a wakeup past even these
                 # margins; such jitter is transient, so allow a couple
                 # of fresh runs.  A *systematic* divergence of one
-                # dispatch mode fails every attempt.
+                # mode fails every attempt.
                 for attempt in range(3):
-                    got = await run_one(*mode)
+                    got = await run_one(engine)
                     if got == expected:
                         break
-                assert got == expected, (mode, got)
+                assert got == expected, (engine, cap, got)
 
         asyncio.run(main())
+

@@ -45,12 +45,19 @@ def test_fastsim_tracks_theorem5(delta, p_l, mean, seed):
     assert result.query_accuracy == pytest.approx(
         analysis.query_accuracy(), abs=0.01
     )
-    # Mistake statistics only when enough samples accumulated.
-    if result.n_mistakes >= 200:
+    # Mistake statistics only when enough samples accumulated.  Both
+    # T_MR and T_M have a coefficient of variation of at most about 1
+    # here (near-geometric recurrences, exponential-tail durations), so
+    # with n >= 300 samples the 30 % band is >= 0.30·sqrt(300) ≈ 5.2σ:
+    # within the 1e-6 false-failure budget per example.
+    if result.n_mistakes >= 300:
         assert result.e_tmr == pytest.approx(analysis.e_tmr(), rel=0.30)
         assert result.e_tm == pytest.approx(analysis.e_tm(), rel=0.30)
     elif analysis.e_tmr() > 10_000:
         # Rare-mistake regime: the simulator must also see mistakes
         # rarely (no more than a few times the analytic rate's budget).
+        # The count is about Poisson(expected); the floor of 12 keeps
+        # its tail past the bound <= 5e-7 for every expected value
+        # (worst near expected = 2.2; a floor of 10 allowed 3.6e-6).
         expected = result.total_time / analysis.e_tmr()
-        assert result.n_mistakes <= max(10.0, 6.0 * expected)
+        assert result.n_mistakes <= max(12.0, 6.0 * expected)

@@ -313,6 +313,25 @@ class TestFastsimSweepDeterminism:
         )
         assert t1.to_text() == t4.to_text()
 
+    def test_fig12_and_cutoff_sweeps_identical_across_jobs(self):
+        from repro.experiments.cutoff_ablation import run_cutoff_ablation
+        from repro.experiments.fig12 import fig12_tm_table, run_fig12
+
+        kw = dict(target_mistakes=20, max_heartbeats=200_000)
+        p1 = run_fig12(tdu_values=[1.5, 2.0], jobs=1, **kw)
+        p2 = run_fig12(tdu_values=[1.5, 2.0], jobs=2, **kw)
+        assert fig12_tm_table(p1).to_text() == fig12_tm_table(p2).to_text()
+        for a, b in zip(p1, p2):
+            for field in ("nfds", "nfde", "sfd_l", "sfd_s"):
+                assert np.array_equal(
+                    getattr(a, field).s_transition_times,
+                    getattr(b, field).s_transition_times,
+                )
+        assert (
+            run_cutoff_ablation(jobs=1, **kw).to_text()
+            == run_cutoff_ablation(jobs=2, **kw).to_text()
+        )
+
 
 # --------------------------------------------------------------------- #
 # Satellite fixes: undetected-run accounting and warmup bias
