@@ -6,7 +6,9 @@ and records the speedup per job count.  The speedup ceiling is the
 machine's core count — the work items are independent and the IPC
 payload is a few floats per run, so on a 4-core host the 4-job row
 approaches 4x; on a single-core host every row collapses to ~1x (the
-executor falls back to measuring only its own overhead).
+executor falls back to measuring only its own overhead).  NFD-S runs
+take the closed-form crash kernel, one pass per chunk, so the batch is
+cut into ``CHUNK`` -run chunks to give the workers something to share.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.sim.parallel import run_crash_runs_parallel
 from repro.sim.runner import SimulationConfig, run_crash_runs
 
 N_RUNS = 48
+CHUNK = 6
 CONFIG = SimulationConfig(
     eta=1.0,
     delay=ExponentialDelay(0.3),
@@ -56,7 +59,12 @@ def test_parallel_crash_run_speedup(benchmark, emit):
 
     for jobs in (1, 2, 4):
         result, stats = run_crash_runs_parallel(
-            _factory, CONFIG, n_runs=N_RUNS, jobs=jobs, with_stats=True
+            _factory,
+            CONFIG,
+            n_runs=N_RUNS,
+            jobs=jobs,
+            chunk_size=CHUNK,
+            with_stats=True,
         )
         identical = np.array_equal(
             result.detection_times, serial.detection_times
@@ -84,7 +92,7 @@ def test_parallel_crash_run_speedup(benchmark, emit):
     result = benchmark.pedantic(
         run_crash_runs_parallel,
         args=(_factory, CONFIG),
-        kwargs=dict(n_runs=N_RUNS, jobs=0),
+        kwargs=dict(n_runs=N_RUNS, jobs=0, chunk_size=CHUNK),
         rounds=3,
         iterations=1,
     )

@@ -43,7 +43,7 @@ from repro.experiments.wan_exp import run_wan
 __all__ = ["main"]
 
 
-def _fig12_tables(full: bool, jobs: int, batch_size: Optional[int]):
+def _fig12_tables(full: bool, jobs: int):
     points = run_fig12(
         target_mistakes=500 if full else 200,
         max_heartbeats=600_000_000 if full else 30_000_000,
@@ -55,53 +55,48 @@ def _fig12_tables(full: bool, jobs: int, batch_size: Optional[int]):
     return tables
 
 
-# Each entry takes (full, jobs, batch_size).  `jobs` fans the
-# experiment's independent units (sweep points or crash runs) out over
-# worker processes via repro.sim.parallel; `batch_size` routes the
-# detection-time crash runs through the vectorized crash-run kernel of
-# repro.sim.batch (batching within a worker composes with jobs across
-# workers).  Experiments without the corresponding axis simply ignore
-# them.  Results are bit-identical for every jobs/batch_size value.
-_EXPERIMENTS: Dict[str, Callable[[bool, int, Optional[int]], list]] = {
+# Each entry takes (full, jobs).  `jobs` fans the experiment's
+# independent units (sweep points or crash runs) out over worker
+# processes via repro.sim.parallel; experiments without that axis
+# ignore it.  Results are bit-identical for every jobs value.
+_EXPERIMENTS: Dict[str, Callable[[bool, int], list]] = {
     "fig12": _fig12_tables,
-    "config-examples": lambda full, jobs, batch: [run_config_examples()],
-    "nfde-window": lambda full, jobs, batch: [
+    "config-examples": lambda full, jobs: [run_config_examples()],
+    "nfde-window": lambda full, jobs: [
         run_nfde_window(target_mistakes=3000 if full else 800, jobs=jobs)
     ],
-    "optimality": lambda full, jobs, batch: [
+    "optimality": lambda full, jobs: [
         run_optimality(target_mistakes=5000 if full else 1000, jobs=jobs)
     ],
-    "detection-time": lambda full, jobs, batch: [
-        run_detection_time(
-            n_runs=1000 if full else 200, jobs=jobs, batch_size=batch
-        )
+    "detection-time": lambda full, jobs: [
+        run_detection_time(n_runs=1000 if full else 200, jobs=jobs)
     ],
-    "cutoff-ablation": lambda full, jobs, batch: [
+    "cutoff-ablation": lambda full, jobs: [
         run_cutoff_ablation(target_mistakes=2000 if full else 500, jobs=jobs)
     ],
-    "distributions": lambda full, jobs, batch: [
+    "distributions": lambda full, jobs: [
         run_distributions(target_mistakes=2000 if full else 500)
     ],
-    "fault-sensitivity": lambda full, jobs, batch: run_fault_sensitivity(
+    "fault-sensitivity": lambda full, jobs: run_fault_sensitivity(
         full=full, jobs=jobs
     ),
-    "election": lambda full, jobs, batch: run_election_qos(full=full),
-    "adaptive": lambda full, jobs, batch: [run_adaptive()],
-    "phi-accrual": lambda full, jobs, batch: [
+    "election": lambda full, jobs: run_election_qos(full=full),
+    "adaptive": lambda full, jobs: [run_adaptive()],
+    "phi-accrual": lambda full, jobs: [
         run_phi_comparison(horizon=100_000.0 if full else 20_000.0)
     ],
-    "profile-costs": lambda full, jobs, batch: [run_profile_costs()],
-    "gossip": lambda full, jobs, batch: [
+    "profile-costs": lambda full, jobs: [run_profile_costs()],
+    "gossip": lambda full, jobs: [
         run_gossip_comparison(
             horizon=40_000.0 if full else 10_000.0,
             n_crash_runs=200 if full else 40,
         )
     ],
-    "hierarchy": lambda full, jobs, batch: run_hierarchy_comparison(
+    "hierarchy": lambda full, jobs: run_hierarchy_comparison(
         horizon=4_000.0 if full else 1_500.0,
         n_crash_runs=24 if full else 8,
     ),
-    "wan": lambda full, jobs, batch: run_wan(full=full, jobs=jobs),
+    "wan": lambda full, jobs: run_wan(full=full, jobs=jobs),
 }
 
 
@@ -150,18 +145,6 @@ def main(argv: Optional[list] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "detection-time only: crash-run batch size for the "
-            "vectorized crash-run kernel (repro.sim.batch); composes "
-            "with --jobs (batch within a worker, workers across cores); "
-            "results are bit-identical to the unbatched path for the "
-            "same seed; other experiments ignore it"
-        ),
-    )
-    parser.add_argument(
         "--telemetry-out",
         type=Path,
         default=None,
@@ -175,8 +158,6 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0 (0 = all cores), got {args.jobs}")
-    if args.batch_size is not None and args.batch_size < 1:
-        parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
 
     if args.experiment == "report":
         from repro.experiments.report import generate_report
@@ -186,7 +167,6 @@ def main(argv: Optional[list] = None) -> int:
             out_dir / "REPORT.md",
             full=args.full,
             jobs=args.jobs,
-            batch_size=args.batch_size,
             telemetry_out=args.telemetry_out,
         )
         print(f"report written: {path}")
@@ -215,7 +195,7 @@ def main(argv: Optional[list] = None) -> int:
 def _run_experiments(names, args, telemetry=None) -> None:
     for name in names:
         start = time.time()
-        tables = _EXPERIMENTS[name](args.full, args.jobs, args.batch_size)
+        tables = _EXPERIMENTS[name](args.full, args.jobs)
         elapsed = time.time() - start
         for i, table in enumerate(tables):
             print()

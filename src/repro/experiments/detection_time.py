@@ -8,8 +8,11 @@
   report the observed maximum to show it *exceeds* the NFD bound under
   heavy-tailed delays.
 
-These runs use the event-driven simulator (crash injection and
-permanent-suspicion detection need the exact trace semantics).
+All four detectors take the closed-form crash kernel of
+:mod:`repro.sim.batch`, which
+:func:`repro.sim.parallel.run_crash_runs_parallel` picks on its own; it
+is bit-identical to the event-driven crash runs of
+:func:`repro.sim.runner.run_crash_runs`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from repro.experiments.common import (
     Fig12Settings,
     steady_state_warmup,
 )
-from repro.sim.batch import run_crash_runs_batched
 from repro.sim.parallel import run_crash_runs_parallel
 from repro.sim.runner import SimulationConfig
 
@@ -39,15 +41,12 @@ def run_detection_time(
     n_runs: int = 200,
     seed: int = 707,
     jobs: Optional[int] = 1,
-    batch_size: Optional[int] = None,
 ) -> ExperimentTable:
     """Measure ``T_D`` distributions for all detectors at one ``T_D^U``.
 
     Each detector gets its own steady-state warmup, so the crash always
     lands on a detector past its transient.  ``jobs`` fans the crash
-    runs out over worker processes with bit-identical results; a
-    ``batch_size`` additionally routes them through the vectorized
-    crash-run kernel (:mod:`repro.sim.batch`), also bit-identical.
+    runs out over worker processes with bit-identical results.
     """
     eta = settings.eta
     delay = settings.delay
@@ -117,23 +116,13 @@ def run_detection_time(
         ),
     ]
     for name, factory, bound, warmup in cases:
-        if batch_size is not None:
-            result = run_crash_runs_batched(
-                factory,
-                config_for(warmup),
-                n_runs=n_runs,
-                batch_size=batch_size,
-                settle_time=40.0,
-                jobs=jobs,
-            )
-        else:
-            result = run_crash_runs_parallel(
-                factory,
-                config_for(warmup),
-                n_runs=n_runs,
-                settle_time=40.0,
-                jobs=jobs,
-            )
+        result = run_crash_runs_parallel(
+            factory,
+            config_for(warmup),
+            n_runs=n_runs,
+            settle_time=40.0,
+            jobs=jobs,
+        )
         max_td = result.max_detection_time
         # An undetected crash means T_D exceeded the whole settle span,
         # so any finite bound is violated.

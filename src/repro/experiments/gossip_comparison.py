@@ -25,7 +25,8 @@ from repro.core.nfd_e import NFDE
 from repro.experiments.common import FIG12_SETTINGS, ExperimentTable, Fig12Settings
 from repro.gossip.simulation import run_gossip
 from repro.metrics.qos import estimate_accuracy
-from repro.sim.runner import SimulationConfig, run_crash_runs, run_failure_free
+from repro.sim.parallel import run_crash_runs_parallel
+from repro.sim.runner import SimulationConfig, run_failure_free
 
 __all__ = ["run_gossip_comparison"]
 
@@ -105,10 +106,11 @@ def run_gossip_comparison(
         horizon=30 * eta,
         seed=seed + 2,
     )
-    nfd_crash = run_crash_runs(
+    nfd_crash = run_crash_runs_parallel(
         lambda: NFDE(eta=eta, alpha=alpha, window=32),
         crash_cfg,
         n_runs=n_crash_runs,
+        jobs=1,
         settle_time=5 * (eta + alpha),
     )
 

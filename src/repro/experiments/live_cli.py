@@ -81,14 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="object",
         help="detector backend: per-peer hosts or the shared SoA engine",
     )
-    soak.add_argument(
-        "--fanout",
-        action="store_true",
-        help=(
-            "pace all senders off one HeartbeatFanout timer instead of "
-            "one asyncio task per sender"
-        ),
-    )
 
     send = sub.add_parser(
         "send", parents=[common], help="UDP heartbeat sender (process p)"
@@ -131,14 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="object",
         help="detector backend: per-peer hosts or the shared SoA engine",
     )
-    mon.add_argument(
-        "--no-batched-socket",
-        action="store_true",
-        help=(
-            "use the per-datagram asyncio endpoint instead of the "
-            "recv_into socket drain"
-        ),
-    )
     return parser
 
 
@@ -165,7 +149,6 @@ def _run_soak(args) -> int:
         kill_after=args.kill_after,
         seed=args.seed,
         engine=args.engine,
-        fanout=args.fanout,
     )
     result = run_soak(config)
     report = result.report()
@@ -217,7 +200,6 @@ def _run_monitor(args) -> int:
                 report_every=args.report_every,
                 registry=registry,
                 engine=args.engine,
-                batched_socket=not args.no_batched_socket,
             )
         )
     except KeyboardInterrupt:

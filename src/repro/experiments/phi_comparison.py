@@ -21,7 +21,8 @@ from repro.core.jacobson import JacobsonFD
 from repro.core.nfd_e import NFDE
 from repro.core.phi_accrual import PhiAccrualFD
 from repro.experiments.common import FIG12_SETTINGS, ExperimentTable, Fig12Settings
-from repro.sim.runner import SimulationConfig, run_crash_runs, run_failure_free
+from repro.sim.parallel import run_crash_runs_parallel
+from repro.sim.runner import SimulationConfig, run_failure_free
 
 __all__ = ["run_phi_comparison"]
 
@@ -95,8 +96,12 @@ def run_phi_comparison(
 
     for name, factory in cases:
         acc = run_failure_free(factory, config).accuracy
-        crash = run_crash_runs(
-            factory, crash_config, n_runs=n_crash_runs, settle_time=50.0
+        crash = run_crash_runs_parallel(
+            factory,
+            crash_config,
+            n_runs=n_crash_runs,
+            jobs=1,
+            settle_time=50.0,
         )
         table.add_row(
             name,

@@ -21,15 +21,13 @@ def generate_report(
     full: bool = False,
     experiments: Optional[List[str]] = None,
     jobs: int = 1,
-    batch_size: Optional[int] = None,
     telemetry_out: Optional[Path] = None,
 ) -> Path:
     """Run experiments and write a markdown report; returns the path.
 
-    ``jobs`` is forwarded to the parallel-capable experiments and
-    ``batch_size`` to the detection-time crash-run kernel (see
-    ``python -m repro.experiments --jobs/--batch-size``); they change
-    only wall time, never results.
+    ``jobs`` is forwarded to the parallel-capable experiments (see
+    ``python -m repro.experiments --jobs``); it changes only wall time,
+    never results.
     ``telemetry_out`` enables the telemetry layer for the duration of
     the run, appends one JSON-lines snapshot per experiment to that
     path, and adds a counter-summary section to the report.
@@ -49,7 +47,7 @@ def generate_report(
     try:
         for name in names:
             start = time.time()
-            tables = _EXPERIMENTS[name](full, jobs, batch_size)
+            tables = _EXPERIMENTS[name](full, jobs)
             sections.append((name, time.time() - start, tables))
             if registry is not None:
                 from repro.telemetry import export

@@ -15,7 +15,6 @@ Layers:
   loopback transport driven by the simulation's link models;
 * :mod:`repro.live.runtime` — hosting a detector on the loop clock;
 * :mod:`repro.live.sender` — η-paced heartbeat sending;
-* :mod:`repro.live.fanout` — many sender streams off one armed timer;
 * :mod:`repro.live.monitor` — the monitoring service (bounded inbox,
   incarnation dispatch, supervised consumer);
 * :mod:`repro.live.supervisor` — crash/restart task supervision;
@@ -23,7 +22,6 @@ Layers:
 * :mod:`repro.live.roles` — two-terminal UDP sender/monitor roles.
 """
 
-from repro.live.fanout import FanoutStream, HeartbeatFanout
 from repro.live.monitor import LiveMonitorService, LivePeerResult
 from repro.live.runtime import LiveDetectorHost
 from repro.live.sender import LiveHeartbeatSender
@@ -52,8 +50,6 @@ __all__ = [
     "LivePeerResult",
     "LiveDetectorHost",
     "LiveHeartbeatSender",
-    "FanoutStream",
-    "HeartbeatFanout",
     "SoALiveHost",
     "LoopWheelScheduler",
     "SoakConfig",

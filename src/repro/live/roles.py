@@ -30,7 +30,6 @@ from repro.live.monitor import LiveMonitorService
 from repro.live.sender import LiveHeartbeatSender
 from repro.live.transport import (
     BatchedUdpMonitorTransport,
-    UdpMonitorTransport,
     UdpSenderTransport,
 )
 
@@ -115,7 +114,6 @@ async def run_udp_monitor(
     registry=None,
     emit: Callable[[str], None] = print,
     engine: str = "object",
-    batched_socket: bool = True,
 ) -> LiveMonitorService:
     """Monitor whatever senders appear at ``host:port``.
 
@@ -124,9 +122,10 @@ async def run_udp_monitor(
     ``report_every`` seconds a one-line status is emitted.  Returns the
     (closed) service so callers can inspect results and telemetry.
 
-    ``engine`` and ``batched_socket`` select the datapath (SoA detector
-    tables or per-peer hosts; recv_into socket drain or the asyncio
-    endpoint); every choice is verdict-identical.
+    ``engine`` selects the detector datapath (SoA detector tables or
+    per-peer hosts); both are verdict-identical.  The socket is drained
+    by :class:`BatchedUdpMonitorTransport`, which falls back to the
+    asyncio endpoint on loops without ``add_reader``.
     """
     loop = asyncio.get_running_loop()
     service = LiveMonitorService(
@@ -140,12 +139,7 @@ async def run_udp_monitor(
             eta,
         ),
     )
-    if batched_socket:
-        transport = BatchedUdpMonitorTransport(
-            host, port, service.on_datagram
-        )
-    else:
-        transport = UdpMonitorTransport(host, port, service.on_datagram)
+    transport = BatchedUdpMonitorTransport(host, port, service.on_datagram)
     await transport.start()
     service.start()
     deadline = None if duration is None else loop.time() + duration

@@ -10,9 +10,7 @@ the live counterpart of the simulator's
   lateness — the end-to-end quantity the Section 5/6 estimators define;
 * send slots already in the past are skipped, never burst — a sender
   that stalls (event-loop hiccough, suspended laptop) resumes at its
-  first *future* slot, exactly like the simulator's ``_arm_next``;
-* an optional ``send_gate`` defers a slot's actual departure (the fault
-  layer's GC-pause model), in local time.
+  first *future* slot, exactly like the simulator's ``_arm_next``.
 
 Pacing is absolute, not relative: each iteration sleeps until the next
 ``σ_i`` deadline rather than for ``η``, so scheduling latency does not
@@ -22,8 +20,6 @@ accumulate into clock drift over a long soak.
 from __future__ import annotations
 
 import asyncio
-import math
-from typing import Callable, Optional
 
 from repro.errors import InvalidParameterError
 from repro.live.transport import SenderTransport
@@ -45,9 +41,6 @@ class LiveHeartbeatSender:
         incarnation: identity epoch, bumped by a restarted process
             (footnote 2: a recovered process is a new identity).
         first_seq: sequence number of the first heartbeat.
-        send_gate: optional deterministic map from a slot's nominal
-            local send time to the local time it actually departs; must
-            never return a time before its argument.
     """
 
     def __init__(
@@ -60,7 +53,6 @@ class LiveHeartbeatSender:
         origin: float,
         incarnation: int = 0,
         first_seq: int = 1,
-        send_gate: Optional[Callable[[float], float]] = None,
     ) -> None:
         if eta <= 0:
             raise InvalidParameterError(f"eta must be positive, got {eta}")
@@ -78,7 +70,6 @@ class LiveHeartbeatSender:
         # (seq, σ) pack_into plus the immutable payload snapshot.
         self._encoder = HeartbeatEncoder(name, int(incarnation))
         self._next_seq = int(first_seq)
-        self._send_gate = send_gate
         self._sent = 0
         self._stop_event = asyncio.Event()
 
@@ -136,13 +127,6 @@ class LiveHeartbeatSender:
                 self._next_seq += 1
             seq = self._next_seq
             deadline = self.send_local_time(seq)
-            if self._send_gate is not None:
-                gated = float(self._send_gate(deadline))
-                if gated < deadline:
-                    raise InvalidParameterError(
-                        f"send_gate moved slot at {deadline} back to {gated}"
-                    )
-                deadline = gated
             if not await self._sleep_until(deadline):
                 return  # stopped while waiting
             self._next_seq += 1
@@ -162,11 +146,3 @@ class LiveHeartbeatSender:
                 return False  # stop() fired
             except asyncio.TimeoutError:
                 continue
-
-    def crash_after(self, local_time: float) -> asyncio.TimerHandle:
-        """Arm a crash at an absolute local time (kill schedules)."""
-        if not math.isfinite(local_time):
-            raise InvalidParameterError(
-                f"crash time must be finite, got {local_time}"
-            )
-        return self._loop.call_at(self._origin + local_time, self.stop)

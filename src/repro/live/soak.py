@@ -39,7 +39,6 @@ import numpy as np
 from repro.analysis.nfds_theory import NFDSAnalysis, QoSPrediction
 from repro.core.nfd_s import NFDS
 from repro.errors import InvalidParameterError
-from repro.live.fanout import HeartbeatFanout
 from repro.live.monitor import LiveMonitorService, LivePeerResult
 from repro.live.sender import LiveHeartbeatSender
 from repro.live.supervisor import TaskSupervisor
@@ -84,9 +83,6 @@ class SoakConfig:
     detect_allowance: float = 0.25
     #: detector backend: "object" (per-peer hosts) or "soa" (shared engine).
     engine: str = "object"
-    #: pace all senders off one HeartbeatFanout timer instead of one
-    #: asyncio task per sender.
-    fanout: bool = False
 
     def __post_init__(self) -> None:
         if self.peers < 1:
@@ -343,30 +339,20 @@ async def soak(config: SoakConfig) -> SoakResult:
     network = LoopbackNetwork(loop)
     network.attach_monitor(service.on_datagram)
 
-    # Either pacing backend exposes the same surface per stream (name,
-    # sent_count, stop); the kill/teardown paths below are agnostic.
-    fanout = (
-        HeartbeatFanout(loop=loop, origin=origin) if config.fanout else None
-    )
-    senders: List = []
+    senders: List[LiveHeartbeatSender] = []
     for i in range(config.peers):
         name = f"p{i}"
         rng = derive_rng(config.seed, STREAM_LIVE, i)
         link = LossyLink(
             ExponentialDelay(config.mean_delay), config.loss, rng
         )
-        if fanout is not None:
-            sender = fanout.add_stream(
-                name, network.sender(link), eta=config.eta
-            )
-        else:
-            sender = LiveHeartbeatSender(
-                network.sender(link),
-                name=name,
-                eta=config.eta,
-                loop=loop,
-                origin=origin,
-            )
+        sender = LiveHeartbeatSender(
+            network.sender(link),
+            name=name,
+            eta=config.eta,
+            loop=loop,
+            origin=origin,
+        )
         senders.append(sender)
         service.add_peer(
             name,
@@ -378,11 +364,8 @@ async def soak(config: SoakConfig) -> SoakResult:
 
     supervisor = TaskSupervisor()
     service.start()
-    if fanout is not None:
-        fanout.start()
-    else:
-        for sender in senders:
-            supervisor.spawn(f"sender:{sender.name}", sender.run)
+    for sender in senders:
+        supervisor.spawn(f"sender:{sender.name}", sender.run)
 
     killed: Dict[str, float] = {}
     try:
@@ -398,8 +381,6 @@ async def soak(config: SoakConfig) -> SoakResult:
     finally:
         for sender in senders:
             sender.stop()
-        if fanout is not None:
-            await fanout.aclose()
         await supervisor.shutdown()
         await network.aclose()
         peer_results = await service.aclose()

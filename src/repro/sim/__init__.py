@@ -12,12 +12,12 @@
 * :mod:`repro.sim.seeds` — namespaced, collision-free RNG stream
   derivation shared by the serial and parallel paths;
 * :mod:`repro.sim.parallel` — a deterministic multiprocessing executor
-  whose results are bit-identical to serial for any job count;
-* :mod:`repro.sim.batch` — the batched crash-run kernel, bit-identical
-  to the serial path for any batch size.
+  whose results are bit-identical to serial for any job count, and the
+  one crash-run entry point for experiments;
+* :mod:`repro.sim.batch` — the closed-form crash-run kernel that entry
+  point takes automatically, bit-identical to the event-driven runs.
 """
 
-from repro.sim.batch import run_crash_runs_batched
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.fastsim import (
     FastAccuracyResult,
@@ -61,5 +61,4 @@ __all__ = [
     "parallel_map",
     "run_crash_runs_parallel",
     "run_failure_free_parallel",
-    "run_crash_runs_batched",
 ]

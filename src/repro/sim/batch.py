@@ -1,20 +1,21 @@
-"""Batched crash-run kernel: many independent replicas per NumPy pass.
+"""Closed-form crash-run kernel: many independent replicas per NumPy pass.
 
 The paper's Section 7 detection-time study averages hundreds of crash
-runs, and :func:`repro.sim.runner.run_crash_runs` executes one
-event-driven Python replica at a time.  :func:`run_crash_runs_batched`
-evaluates a whole batch of replicas at once, **bit-identical** to the
-serial code path for the same seed (asserted in
-``tests/sim/test_batch.py``).  A crash run's randomness is exactly the
-fates of the heartbeats sent before the crash, drawn from the run's
-namespaced stream (``SeedSequence([seed, STREAM_CRASH_RUN,
-run_index])``).  The kernel replays those draws *in the engine's exact
-order* (the loss coin and the delay draw interleave per message),
-assembles an arrival matrix of shape ``(n_replicas, n_messages)``, and
-evaluates each detector's final output and last S-transition in closed
-form over the whole matrix — no event loop.  Because every replica is
-seeded by its absolute run index, the batch size can never change a
-result.
+runs.  :func:`repro.sim.parallel.run_crash_runs_parallel` routes them
+through this kernel automatically whenever :func:`crash_kernel_spec`
+derives a recipe, and through the event-driven simulator otherwise.
+The kernel evaluates a whole span of replicas at once, **bit-identical**
+to the event-driven reference :func:`repro.sim.runner.run_crash_runs`
+for the same seed (asserted in ``tests/sim/test_batch.py``).  A crash
+run's randomness is exactly the fates of the heartbeats sent before the
+crash, drawn from the run's namespaced stream (``SeedSequence([seed,
+STREAM_CRASH_RUN, run_index])``).  The kernel replays those draws *in
+the engine's exact order* (the loss coin and the delay draw interleave
+per message), assembles an arrival matrix of shape ``(n_replicas,
+n_messages)``, and evaluates each detector's final output and last
+S-transition in closed form over the whole matrix — no event loop.
+Because every replica is seeded by its absolute run index, the span
+size can never change a result.
 
 Closed-form detection recipes (all proved against the event-driven
 implementations; ``end = crash_time + settle`` is the simulated horizon,
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -59,26 +60,14 @@ from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.core.simple import SimpleFD
-from repro.errors import InvalidParameterError
 from repro.net.clocks import PerfectClock
-from repro.sim.parallel import (
-    chunk_spans,
-    parallel_map,
-    run_crash_runs_parallel,
-)
-from repro.sim.runner import (
-    CrashRunResult,
-    DetectorFactory,
-    SimulationConfig,
-    _prepare_crash_runs,
-)
+from repro.sim.runner import DetectorFactory, SimulationConfig
 from repro.sim.seeds import STREAM_CRASH_RUN, derive_rng
-from repro.telemetry.runtime import active as _telemetry_active
 
 __all__ = [
     "CrashKernelSpec",
+    "crash_kernel",
     "crash_kernel_spec",
-    "run_crash_runs_batched",
 ]
 
 
@@ -104,17 +93,21 @@ class CrashKernelSpec:
 def crash_kernel_spec(
     detector_factory: DetectorFactory, config: SimulationConfig
 ) -> Optional[CrashKernelSpec]:
-    """Derive the batched-kernel recipe for a factory, or ``None``.
+    """Derive the closed-form kernel recipe for a factory, or ``None``.
 
     The kernel covers the library's four detectors under perfect clocks
-    with the paper's sequence numbering (``first_seq = 1``) and a fresh
-    probe instance.  Exact types only: a subclass may override behaviour
+    over the plain :class:`~repro.net.link.LossyLink` (no
+    ``link_factory``, whose links draw their own fates), with the
+    paper's sequence numbering (``first_seq = 1``) and a fresh probe
+    instance.  Exact types only: a subclass may override behaviour
     the closed forms do not model.  For NFD-U the ``expected_arrival``
     callable must be pure and identical across factory invocations (it
     is tabulated once per batch); NFD-E — whose estimator state the
     kernel models explicitly — is matched before its NFD-U base.
-    Anything unrecognized falls back to the event-driven path.
+    Anything unrecognized takes the event-driven route.
     """
+    if config.link_factory is not None:
+        return None
     for clock in (config.sender_clock, config.monitor_clock):
         if clock is not None and type(clock) is not PerfectClock:
             return None
@@ -262,7 +255,7 @@ class _FateStream:
         self.n = 0
 
 
-# Replayed fate prefixes, shared across run_crash_runs_batched calls:
+# Replayed fate prefixes, shared across crash-kernel calls:
 # delay instance (weakly held) -> (seed, p_L) -> run_index -> stream.
 # Experiments that evaluate several detectors over one link — the four
 # cases of the detection-time study, say — reuse the same crash-run
@@ -346,13 +339,6 @@ class _FateReplayer:
             for m in range(lo, need):
                 f[m] = float(delay.sample(rng, 1)[0])
         st.n = need
-
-
-def _replay_message_fates(
-    config: SimulationConfig, n_sent: int, run_index: int
-) -> np.ndarray:
-    """One run's fates through a throwaway replayer (test/debug helper)."""
-    return _FateReplayer(config).fates(run_index, n_sent).copy()
 
 
 # --------------------------------------------------------------------- #
@@ -560,81 +546,25 @@ def _crash_batch(
     return _detect_freshness(A, ends, crash_times, spec)
 
 
-def run_crash_runs_batched(
-    detector_factory: DetectorFactory,
+def crash_kernel(
+    spec: CrashKernelSpec,
     config: SimulationConfig,
-    n_runs: int,
-    batch_size: int = 64,
-    jobs: Optional[int] = 1,
-    crash_window: Optional[tuple] = None,
-    settle_time: Optional[float] = None,
-    keep_traces: bool = False,
-    progress=None,
-    with_stats: bool = False,
-):
-    """Batched :func:`repro.sim.runner.run_crash_runs` — same results.
+    crash_times: np.ndarray,
+    settle: float,
+) -> Callable[[int, int], np.ndarray]:
+    """The kernel for one crash-run ensemble, as a span function.
 
-    Replicas are grouped into batches of ``batch_size`` and each batch
-    is evaluated by one vectorized kernel pass; batches fan out over
-    ``jobs`` workers (batch within a worker × workers across cores).
-    Crash times, per-run streams and the detection semantics are those
-    of the serial runner, so the output is bit-identical for every
-    ``(batch_size, jobs)`` combination.
-
-    When no closed-form kernel applies — unknown detector type,
-    non-perfect clocks, or ``keep_traces=True`` (the kernel never builds
-    traces) — this transparently falls back to
-    :func:`repro.sim.parallel.run_crash_runs_parallel`.
+    ``crash_times`` and ``settle`` come from
+    :func:`repro.sim.runner._prepare_crash_runs`; the returned callable
+    maps a span ``[start, stop)`` of run indices to those runs'
+    detection times.
     """
-    if batch_size < 1:
-        raise InvalidParameterError(
-            f"batch_size must be >= 1, got {batch_size}"
-        )
-    spec = (
-        None if keep_traces else crash_kernel_spec(detector_factory, config)
-    )
-    if spec is None:
-        return run_crash_runs_parallel(
-            detector_factory,
-            config,
-            n_runs,
-            jobs=jobs,
-            crash_window=crash_window,
-            settle_time=settle_time,
-            keep_traces=keep_traces,
-            progress=progress,
-            with_stats=with_stats,
-        )
-    crash_times, settle = _prepare_crash_runs(
-        config, n_runs, crash_window, settle_time
-    )
     sends = _send_schedule(config.eta, float(crash_times.max()))
-    spans = chunk_spans(n_runs, int(batch_size))
     replayer = _FateReplayer(config)
 
-    def span_fn(span: Tuple[int, int]) -> np.ndarray:
-        start, stop = span
+    def span(start: int, stop: int) -> np.ndarray:
         return _crash_batch(
             spec, replayer, crash_times[start:stop], start, settle, sends
         )
 
-    outs, stats = parallel_map(
-        span_fn,
-        spans,
-        jobs=jobs,
-        chunk_size=1,
-        progress=progress,
-        with_stats=True,
-    )
-    detections = np.concatenate(outs)
-    reg = _telemetry_active()
-    if reg is not None:
-        labels = {"kernel": spec.kind}
-        reg.counter("batch_crash_runs_total", labels=labels).inc(n_runs)
-        reg.counter("batch_crash_batches_total", labels=labels).inc(
-            len(spans)
-        )
-    result = CrashRunResult(
-        detection_times=detections, crash_times=crash_times, traces=[]
-    )
-    return (result, stats) if with_stats else result
+    return span

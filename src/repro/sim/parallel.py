@@ -19,6 +19,12 @@ fan-out while keeping that guarantee, for any job count and any chunking:
   workers and only results travel back.  Where ``fork`` is unavailable
   (non-Unix platforms, daemon processes) execution silently falls back
   to in-process serial — which is bit-identical by construction.
+* **One crash-run route.**  :func:`run_crash_runs_parallel` evaluates
+  runs through the closed-form crash kernel of :mod:`repro.sim.batch`
+  whenever the detector and config admit one, and through the
+  event-driven simulator otherwise; both are bit-identical to
+  :func:`repro.sim.runner.run_crash_runs`, so the route is never
+  visible in the numbers.
 * **Per-worker instrumentation.**  Each chunk reports the worker PID and
   its busy time; :class:`ParallelStats` aggregates them for the
   ``benchmarks/bench_parallel.py`` harness and ``--jobs`` progress
@@ -37,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.sim.batch import crash_kernel, crash_kernel_spec
 from repro.telemetry.runtime import active as _telemetry_active
 from repro.sim.runner import (
     CrashRunResult,
@@ -59,6 +66,11 @@ __all__ = [
 ]
 
 ProgressCallback = Callable[[int, int], None]
+# Results for items ``[start, stop)``, in item order.
+ChunkFn = Callable[[int, int], Sequence[Any]]
+
+# Crash runs per closed-form kernel pass when no ``chunk_size`` is given.
+_KERNEL_SPAN = 64
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -142,19 +154,24 @@ class ParallelStats:
 # Core chunk executor
 # --------------------------------------------------------------------- #
 
-# The per-item callable for the fan-out in flight.  Set in the parent
+# The chunk callable for the fan-out in flight.  Set in the parent
 # immediately before the worker pool forks, so workers inherit it via
 # copy-on-write memory — this is what lets detector factories be
 # closures/lambdas without any pickling of the work payload.
-_ITEM_FN: Optional[Callable[[int], Any]] = None
+_CHUNK_FN: Optional[ChunkFn] = None
+
+
+def _per_item(item_fn: Callable[[int], Any]) -> ChunkFn:
+    """The chunk callable that applies ``item_fn`` to each index."""
+    return lambda start, stop: [item_fn(i) for i in range(start, stop)]
 
 
 def _invoke_chunk(span: Tuple[int, int, int]):
     chunk_idx, start, stop = span
     t0 = time.perf_counter()
-    fn = _ITEM_FN
+    fn = _CHUNK_FN
     assert fn is not None, "worker forked without a payload"
-    out = [fn(i) for i in range(start, stop)]
+    out = fn(start, stop)
     return chunk_idx, start, stop, os.getpid(), time.perf_counter() - t0, out
 
 
@@ -170,20 +187,21 @@ def _fork_available() -> bool:
 
 
 def _execute(
-    item_fn: Callable[[int], Any],
+    chunk_fn: ChunkFn,
     n_items: int,
     jobs: Optional[int],
     chunk_size: Optional[int],
     progress: Optional[ProgressCallback],
 ) -> Tuple[List[Any], ParallelStats]:
-    """Run ``item_fn`` over ``range(n_items)``; results in item order.
+    """Run ``chunk_fn`` over spans of ``range(n_items)``; results in item
+    order.
 
-    Deterministic by construction: ``item_fn`` must derive all of its
-    randomness from the item index (see :mod:`repro.sim.seeds`), and the
-    results list is reassembled by index, so jobs/chunking only affect
-    wall time.
+    Deterministic by construction: ``chunk_fn`` must derive all of its
+    randomness from the item indices (see :mod:`repro.sim.seeds`), and
+    the results list is reassembled by index, so jobs/chunking only
+    affect wall time.
     """
-    global _ITEM_FN
+    global _CHUNK_FN
     jobs_resolved = max(1, min(resolve_jobs(jobs), n_items))
     if chunk_size is None:
         chunk_size = default_chunk_size(n_items, jobs_resolved)
@@ -198,7 +216,7 @@ def _execute(
     if not use_pool:
         for ci, start, stop in spans:
             t0 = time.perf_counter()
-            results[start:stop] = [item_fn(i) for i in range(start, stop)]
+            results[start:stop] = chunk_fn(start, stop)
             timings.append(
                 ChunkTiming(
                     chunk=ci,
@@ -212,7 +230,7 @@ def _execute(
                 progress(len(timings), len(spans))
     else:
         ctx = multiprocessing.get_context("fork")
-        _ITEM_FN = item_fn  # must be set before the pool forks
+        _CHUNK_FN = chunk_fn  # must be set before the pool forks
         try:
             with ctx.Pool(processes=jobs_resolved) as pool:
                 for ci, start, stop, pid, secs, out in pool.imap_unordered(
@@ -231,7 +249,7 @@ def _execute(
                     if progress is not None:
                         progress(len(timings), len(spans))
         finally:
-            _ITEM_FN = None
+            _CHUNK_FN = None
     timings.sort(key=lambda c: c.chunk)
     stats = ParallelStats(
         jobs=jobs_resolved,
@@ -284,7 +302,9 @@ def parallel_map(
     def item_fn(i: int):
         return fn(items[i])
 
-    results, stats = _execute(item_fn, len(items), jobs, chunk_size, progress)
+    results, stats = _execute(
+        _per_item(item_fn), len(items), jobs, chunk_size, progress
+    )
     return (results, stats) if with_stats else results
 
 
@@ -300,32 +320,61 @@ def run_crash_runs_parallel(
     progress: Optional[ProgressCallback] = None,
     with_stats: bool = False,
 ):
-    """Fan :func:`repro.sim.runner.run_crash_runs` out over workers.
+    """:func:`repro.sim.runner.run_crash_runs`, fanned out over workers.
 
     Bit-identical to the serial function for the same config and seed:
     crash times come from one namespaced draw in the parent, and run
     *i*'s stream is keyed by ``i`` — so scheduling cannot change any
     result.  ``jobs=1`` runs in-process (no pool).
+
+    Runs take the closed-form crash kernel (:mod:`repro.sim.batch`)
+    whenever :func:`repro.sim.batch.crash_kernel_spec` derives a recipe
+    and no traces are kept; each chunk of ``chunk_size`` runs (default
+    64) is then one vectorized pass.  Otherwise — other detector types,
+    non-perfect clocks, a ``link_factory``, or ``keep_traces=True`` —
+    each run is one event-driven simulation.
     """
     crash_times, settle = _prepare_crash_runs(
         config, n_runs, crash_window, settle_time
     )
-
-    def item_fn(i: int):
-        return _run_single_crash(
-            detector_factory,
-            config,
-            i,
-            float(crash_times[i]),
-            settle,
-            keep_traces,
+    spec = None if keep_traces else crash_kernel_spec(detector_factory, config)
+    if spec is not None:
+        kernel = crash_kernel(spec, config, crash_times, settle)
+        outs, stats = _execute(
+            kernel,
+            n_runs,
+            jobs,
+            _KERNEL_SPAN if chunk_size is None else chunk_size,
+            progress,
         )
+        detections = np.array(outs, dtype=float)
+        traces = []
+        reg = _telemetry_active()
+        if reg is not None:
+            labels = {"kernel": spec.kind}
+            reg.counter("batch_crash_runs_total", labels=labels).inc(n_runs)
+            reg.counter("batch_crash_batches_total", labels=labels).inc(
+                stats.n_chunks
+            )
+    else:
 
-    outs, stats = _execute(item_fn, n_runs, jobs, chunk_size, progress)
-    detections = np.fromiter(
-        (d for d, _ in outs), dtype=float, count=n_runs
-    )
-    traces = [t for _, t in outs] if keep_traces else []
+        def item_fn(i: int):
+            return _run_single_crash(
+                detector_factory,
+                config,
+                i,
+                float(crash_times[i]),
+                settle,
+                keep_traces,
+            )
+
+        outs, stats = _execute(
+            _per_item(item_fn), n_runs, jobs, chunk_size, progress
+        )
+        detections = np.fromiter(
+            (d for d, _ in outs), dtype=float, count=n_runs
+        )
+        traces = [t for _, t in outs] if keep_traces else []
     result = CrashRunResult(
         detection_times=detections, crash_times=crash_times, traces=traces
     )
@@ -350,5 +399,7 @@ def run_failure_free_parallel(
     def item_fn(i: int) -> FailureFreeResult:
         return run_failure_free(detector_factory, config, run_index=i)
 
-    results, stats = _execute(item_fn, n_runs, jobs, chunk_size, progress)
+    results, stats = _execute(
+        _per_item(item_fn), n_runs, jobs, chunk_size, progress
+    )
     return (results, stats) if with_stats else results

@@ -1,9 +1,10 @@
-"""The live CLI's fast-path flags and the gated uvloop selection."""
+"""The live CLI's datapath flags and the gated uvloop selection."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.experiments.cli import main as experiments_main
 from repro.experiments.live_cli import _build_parser, live_main
 from repro.live.loops import install_uvloop, uvloop_available
 
@@ -25,14 +26,12 @@ class TestFastPathFlags:
                     "soak",
                     "--engine",
                     "soa",
-                    "--fanout",
                     "--duration",
                     "5",
                 ]
             )
         config = captured["config"]
         assert config.engine == "soa"
-        assert config.fanout is True
 
     def test_monitor_flags_parse_with_defaults(self):
         args = _build_parser().parse_args(
@@ -40,12 +39,30 @@ class TestFastPathFlags:
         )
         assert args.engine == "object"
         assert not hasattr(args, "drain_batch")
-        assert args.no_batched_socket is False
         assert args.uvloop is False
 
     def test_soak_rejects_unknown_engine(self, capsys):
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["soak", "--engine", "gpu"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["soak", "--fanout"],
+            ["monitor", "--port", "9999", "--no-batched-socket"],
+        ],
+    )
+    def test_removed_live_datapath_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_crash_route_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(["detection-time", "--batch-size", "64"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestUvloopGate:

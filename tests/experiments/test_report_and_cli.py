@@ -83,7 +83,7 @@ class TestTelemetryOut:
         # config-examples is purely analytic and records nothing; wrap
         # it so the run drives a fastsim kernel under the CLI-enabled
         # registry, proving the whole chain end to end.
-        def with_kernel(full, jobs, batch):
+        def with_kernel(full, jobs):
             simulate_nfds_fast(
                 eta=1.0,
                 delta=1.0,
@@ -94,7 +94,7 @@ class TestTelemetryOut:
                 max_heartbeats=500,
                 chunk_size=500,
             )
-            return _EXPERIMENTS["config-examples"](full, jobs, batch)
+            return _EXPERIMENTS["config-examples"](full, jobs)
 
         monkeypatch.setattr(
             "repro.experiments.cli._EXPERIMENTS",

@@ -1,10 +1,15 @@
-"""Bit-identity tests for the batched crash-run kernel.
+"""Bit-identity tests for the closed-form crash-run kernel.
 
-The invariant under test: for a fixed seed, every result of
-:mod:`repro.sim.batch` — crash detection times and the detection-time
-table — is *bit-identical* to the serial/event-driven path, for every
-``batch_size`` and every ``jobs`` value.  Batching is a pure
-execution strategy; it must never be observable in the numbers.
+The invariant under test: for a fixed seed, every crash run that
+:func:`repro.sim.parallel.run_crash_runs_parallel` routes through the
+kernel of :mod:`repro.sim.batch` — crash detection times and the
+detection-time table — is *bit-identical* to the event-driven reference
+:func:`repro.sim.runner.run_crash_runs`, for every ``chunk_size`` and
+every ``jobs`` value (a kernel batch is one ``chunk_size`` span of
+runs).  The route is a pure execution strategy; it must never be
+observable in the numbers.  The kernel-route telemetry counter
+shows which route a call took, so a silent fallback cannot hide behind
+an identity check.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.base import HeartbeatFailureDetector, SUSPECT
 from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
@@ -27,10 +33,11 @@ from repro.net.delays import (
     MixtureDelay,
     UniformDelay,
 )
-from repro.sim.batch import crash_kernel_spec, run_crash_runs_batched
+from repro.sim.batch import crash_kernel_spec
+from repro.sim.parallel import run_crash_runs_parallel
 from repro.sim.runner import CrashRunResult, SimulationConfig, run_crash_runs
 
-BATCH_SIZES = [1, 3, 64]
+CHUNK_SIZES = [1, 3, 64]
 JOBS = [1, 2]
 
 
@@ -63,19 +70,40 @@ def _assert_same_result(a: CrashRunResult, b: CrashRunResult) -> None:
     assert np.array_equal(a.detection_times, b.detection_times)
 
 
+def _kernel_runs(reg) -> int:
+    """Crash runs the closed-form kernel evaluated under ``reg``."""
+    return sum(
+        metric.value
+        for key, metric in reg.items()
+        if key.startswith("batch_crash_runs_total")
+    )
+
+
+def _run(
+    factory, config, n_runs, *, kernel=True, jobs=1, **kw
+) -> CrashRunResult:
+    """One-entry-point run that also asserts which route it took."""
+    with telemetry.enabled() as reg:
+        result = run_crash_runs_parallel(
+            factory, config, n_runs=n_runs, jobs=jobs, **kw
+        )
+    assert _kernel_runs(reg) == (n_runs if kernel else 0)
+    return result
+
+
 class TestCrashKernelBitIdentity:
     @pytest.mark.parametrize("name", sorted(DETECTORS))
     def test_matches_event_driven_all_batch_sizes(self, name):
         factory = DETECTORS[name]
         config = _config()
         ref = run_crash_runs(factory, config, n_runs=24, settle_time=40.0)
-        for batch_size in BATCH_SIZES:
+        for chunk_size in CHUNK_SIZES:
             for jobs in JOBS:
-                got = run_crash_runs_batched(
+                got = _run(
                     factory,
                     config,
-                    n_runs=24,
-                    batch_size=batch_size,
+                    24,
+                    chunk_size=chunk_size,
                     jobs=jobs,
                     settle_time=40.0,
                 )
@@ -93,9 +121,7 @@ class TestCrashKernelBitIdentity:
             horizon=60.0,
         )
         ref = run_crash_runs(factory, config, n_runs=20, settle_time=6.0)
-        got = run_crash_runs_batched(
-            factory, config, n_runs=20, batch_size=7, settle_time=6.0
-        )
+        got = _run(factory, config, 20, chunk_size=7, settle_time=6.0)
         _assert_same_result(ref, got)
         assert ref.n_premature > 0  # regime check: branch was exercised
 
@@ -110,9 +136,7 @@ class TestCrashKernelBitIdentity:
         )
         factory = DETECTORS["nfds"]
         ref = run_crash_runs(factory, config, n_runs=20, settle_time=6.0)
-        got = run_crash_runs_batched(
-            factory, config, n_runs=20, batch_size=64, settle_time=6.0
-        )
+        got = _run(factory, config, 20, settle_time=6.0)
         _assert_same_result(ref, got)
         assert ref.n_undetected > 0  # regime check
 
@@ -127,9 +151,8 @@ class TestCrashKernelBitIdentity:
             ref = run_crash_runs(
                 DETECTORS[name], config, n_runs=16, settle_time=8.0
             )
-            got = run_crash_runs_batched(
-                DETECTORS[name], config, n_runs=16, batch_size=5,
-                settle_time=8.0,
+            got = _run(
+                DETECTORS[name], config, 16, chunk_size=5, settle_time=8.0
             )
             _assert_same_result(ref, got)
 
@@ -137,18 +160,18 @@ class TestCrashKernelBitIdentity:
         config = _config(seed=3)
         factory = DETECTORS["sfd_cutoff"]
         results = [
-            run_crash_runs_batched(
-                factory, config, n_runs=17, batch_size=bs, settle_time=40.0
+            _run(
+                factory, config, 17, chunk_size=cs, settle_time=40.0
             ).detection_times
-            for bs in (1, 2, 5, 17, 1000)
+            for cs in (1, 2, 5, 17, 1000)
         ]
         for other in results[1:]:
             assert np.array_equal(results[0], other)
 
     def test_invalid_batch_size(self):
         with pytest.raises(InvalidParameterError):
-            run_crash_runs_batched(
-                DETECTORS["nfds"], _config(), n_runs=4, batch_size=0
+            run_crash_runs_parallel(
+                DETECTORS["nfds"], _config(), n_runs=4, chunk_size=0
             )
 
 
@@ -169,10 +192,11 @@ class TestCrashKernelSpec:
 
         config = _config()
         assert crash_kernel_spec(OddDetector, config) is None
-        # The public API still works — via the event-driven fallback.
+        # The entry point still works — via the event-driven route.
         ref = run_crash_runs(OddDetector, config, n_runs=5, settle_time=10.0)
-        got = run_crash_runs_batched(
-            OddDetector, config, n_runs=5, batch_size=2, settle_time=10.0
+        got = _run(
+            OddDetector, config, 5, kernel=False, chunk_size=2,
+            settle_time=10.0,
         )
         _assert_same_result(ref, got)
 
@@ -182,10 +206,14 @@ class TestCrashKernelSpec:
         class TweakedNFDS(NFDS):
             pass
 
-        assert (
-            crash_kernel_spec(lambda: TweakedNFDS(eta=1.0, delta=1.0), _config())
-            is None
-        )
+        def factory():
+            return TweakedNFDS(eta=1.0, delta=1.0)
+
+        config = _config()
+        assert crash_kernel_spec(factory, config) is None
+        ref = run_crash_runs(factory, config, n_runs=4, settle_time=10.0)
+        got = _run(factory, config, 4, kernel=False, settle_time=10.0)
+        _assert_same_result(ref, got)
 
     def test_nonperfect_clock_falls_back(self):
         config = _config(monitor_clock=DriftingClock(drift=1e-4))
@@ -193,21 +221,40 @@ class TestCrashKernelSpec:
         ref = run_crash_runs(
             DETECTORS["nfds"], config, n_runs=6, settle_time=10.0
         )
-        got = run_crash_runs_batched(
-            DETECTORS["nfds"], config, n_runs=6, batch_size=3, settle_time=10.0
+        got = _run(
+            DETECTORS["nfds"], config, 6, kernel=False, chunk_size=3,
+            settle_time=10.0,
         )
         _assert_same_result(ref, got)
 
     def test_keep_traces_falls_back(self):
-        got = run_crash_runs_batched(
+        got = _run(
             DETECTORS["nfds"],
             _config(),
-            n_runs=4,
-            batch_size=2,
+            4,
+            kernel=False,
+            chunk_size=2,
             settle_time=10.0,
             keep_traces=True,
         )
         assert len(got.traces) == 4
+
+    def test_link_factory_falls_back(self):
+        # Regression: a relayed WAN route draws its own fates, which the
+        # kernel's LossyLink replay would silently replace.
+        from repro.experiments.wan_exp import (
+            WanSettings,
+            build_topology,
+            route_config,
+        )
+
+        s = WanSettings(seed=1, horizon=200.0)
+        config = route_config(s, build_topology(), "sgp")
+        factory = s.detector_factory()
+        assert crash_kernel_spec(factory, config) is None
+        ref = run_crash_runs(factory, config, n_runs=12, settle_time=10.0)
+        got = _run(factory, config, 12, kernel=False, settle_time=10.0)
+        _assert_same_result(ref, got)
 
 
 class TestPrematureProperty:
@@ -221,11 +268,19 @@ class TestPrematureProperty:
 
 
 class TestBatchedExperiments:
-    def test_detection_time_batched_equals_serial(self):
+    def test_detection_time_batched_equals_serial(self, monkeypatch):
+        """E7 takes the kernel route for all four cases, and its table
+        equals the one the event-driven route produces."""
         from repro.experiments.detection_time import run_detection_time
+        from repro.sim import parallel
 
+        with telemetry.enabled() as reg:
+            batched = run_detection_time(n_runs=12)
+        assert _kernel_runs(reg) == 4 * 12
+        monkeypatch.setattr(
+            parallel, "crash_kernel_spec", lambda factory, config: None
+        )
         serial = run_detection_time(n_runs=12)
-        batched = run_detection_time(n_runs=12, batch_size=5)
         assert serial.to_text() == batched.to_text()
 
 
@@ -290,7 +345,7 @@ class TestFastReplay:
         assert _verified_batch_sampling(UniformDelay(0.1, 0.5))
 
     def test_fate_cache_reuse_is_bit_identical(self):
-        """A second batched call over the same link reuses cached
+        """A second kernel call over the same link reuses cached
         prefixes (and extends them for longer runs) without changing a
         single value — the detection-time experiment's access pattern."""
         from repro.sim import batch as batch_mod
@@ -299,12 +354,8 @@ class TestFastReplay:
         factory = DETECTORS["nfds"]
         ref = run_crash_runs(factory, config, n_runs=24, settle_time=40.0)
         batch_mod._FATES_CACHE.clear()
-        first = run_crash_runs_batched(
-            factory, config, n_runs=10, batch_size=4, settle_time=40.0
-        )
-        cached = run_crash_runs_batched(
-            factory, config, n_runs=24, batch_size=7, settle_time=40.0
-        )
+        first = _run(factory, config, 10, chunk_size=4, settle_time=40.0)
+        cached = _run(factory, config, 24, chunk_size=7, settle_time=40.0)
         assert np.array_equal(
             first.detection_times, ref.detection_times[:10]
         ) or first.crash_times.size == 10  # crash times differ with n_runs
@@ -320,7 +371,5 @@ class TestFastReplay:
         for name in ("nfds", "sfd_cutoff", "nfde"):
             factory = DETECTORS[name]
             ref = run_crash_runs(factory, config, n_runs=16, settle_time=40.0)
-            got = run_crash_runs_batched(
-                factory, config, n_runs=16, batch_size=64, settle_time=40.0
-            )
+            got = _run(factory, config, 16, settle_time=40.0)
             _assert_same_result(got, ref)

@@ -13,10 +13,9 @@ import numpy as np
 
 from repro import telemetry
 from repro.net.delays import ExponentialDelay
-from repro.sim.batch import run_crash_runs_batched
 from repro.sim.engine import Simulator
 from repro.sim.fastsim import simulate_nfds_fast
-from repro.sim.parallel import parallel_map
+from repro.sim.parallel import parallel_map, run_crash_runs_parallel
 from repro.sim.runner import SimulationConfig
 
 FAST_KWARGS = dict(
@@ -122,11 +121,12 @@ class TestExecutorTelemetry:
             seed=11,
         )
         with telemetry.enabled() as reg:
-            run_crash_runs_batched(
+            run_crash_runs_parallel(
                 lambda: NFDS(eta=1.0, delta=1.0),
                 config,
                 n_runs=6,
-                batch_size=4,
+                jobs=1,
+                chunk_size=4,
                 settle_time=20.0,
             )
         labels = {"kernel": "nfds"}
