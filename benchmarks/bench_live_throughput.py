@@ -1,12 +1,15 @@
-"""Live monitor datapath throughput: object vs SoA engine on a burst.
+"""Live monitor datapath throughput: shipped SoA hosts vs object reference.
 
 Measures the live datagram path (``repro.live``: bounded deque inbox,
 allocation-light wire codec, chunked consumer drain, SoA ``ingest``) on
 a pre-enqueued burst, and writes the numbers as one JSON document
 (``BENCH_live_throughput.json`` at the repo root).
 
-Two timed modes — engine ``object`` and ``soa``, both on the one
-chunked drain — each run twice: with the Section 5/6 estimation
+Two timed modes, both on the one chunked drain: ``soa`` is the shipped
+service (NFD-S peers on the SoA engine) and ``object`` the per-peer
+reference hosts, reached by making the selection predicate
+``repro.service.soa.supports_detector`` refuse every detector — the
+seam the identity tests use.  Each runs twice: with the Section 5/6 estimation
 pipeline attached (the full-service configuration) and without it (the
 detector-core configuration, ``add_peer(..., observe=False)``), because
 the per-heartbeat estimator update is pure Python and common to both
@@ -18,9 +21,9 @@ is the repository benchmark's ``fleet`` workload (``perfbench/``).
 senders, out-of-order sequence numbers, incarnation restarts, stale
 stragglers) is dispatched through both modes first, and every
 ``live_*`` counter plus every incarnation's ``(name, incarnation,
-first_seq, delivered)`` book must agree exactly — the two engines must
+first_seq, delivered)`` book must agree exactly — the two modes must
 make the *same decisions* datagram for datagram.  (Detector
-verdict identity between the object and SoA backends under real pacing
+verdict identity between the shipped and reference hosts under real pacing
 is pinned separately by ``tests/live/test_batched_drain.py`` and the
 engine's own identity suite; transition *timestamps* on a wall clock
 are not run-reproducible, so they are not compared here.)
@@ -41,10 +44,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import platform
 import time
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_live_throughput.json"
@@ -52,7 +57,21 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_live_throughput.json"
 SCHEMA = "repro.bench.live_throughput/2"
 
 ETA, DELTA = 0.05, 0.03
-ENGINES = ("object", "soa")
+MODES = ("object", "soa")
+
+
+@contextlib.contextmanager
+def _hosts(mode):
+    """Build the services' hosts for ``mode``: ``"soa"`` is the shipped
+    selection, ``"object"`` routes every detector to the reference
+    host."""
+    from repro.service import soa
+
+    if mode == "soa":
+        yield
+        return
+    with mock.patch.object(soa, "supports_detector", lambda d: False):
+        yield
 
 
 def build_payloads(n_senders: int, slots: int):
@@ -85,8 +104,8 @@ def _processed(registry) -> float:
     return total
 
 
-async def _run_mode(payloads, n_senders, engine, observe):
-    """Time one (engine, observe) configuration; returns seconds."""
+async def _run_mode(payloads, n_senders, mode, observe):
+    """Time one (mode, observe) configuration; returns seconds."""
     from repro.core.nfd_s import NFDS
     from repro.live import LiveMonitorService
 
@@ -95,16 +114,16 @@ async def _run_mode(payloads, n_senders, engine, observe):
         loop=loop,
         origin=loop.time(),
         inbox_limit=len(payloads) + 1,
-        engine=engine,
         keep_traces=False,
     )
-    for i in range(n_senders):
-        service.add_peer(
-            f"s{i}",
-            lambda first_seq: NFDS(ETA, DELTA, first_seq=first_seq),
-            eta=ETA,
-            observe=observe,
-        )
+    with _hosts(mode):
+        for i in range(n_senders):
+            service.add_peer(
+                f"s{i}",
+                lambda first_seq: NFDS(ETA, DELTA, first_seq=first_seq),
+                eta=ETA,
+                observe=observe,
+            )
     for payload in payloads:
         service.on_datagram(payload)
     n = len(payloads)
@@ -152,7 +171,7 @@ def build_mixed_stream(n_senders: int, slots: int):
     return out
 
 
-async def _dispatch_fingerprint(payloads, n_senders, engine):
+async def _dispatch_fingerprint(payloads, n_senders, mode):
     """Counters + per-incarnation books after dispatching a stream."""
     from repro.core.nfd_s import NFDS
     from repro.live import LiveMonitorService
@@ -162,23 +181,24 @@ async def _dispatch_fingerprint(payloads, n_senders, engine):
         loop=loop,
         origin=loop.time(),
         inbox_limit=len(payloads) + 1,
-        engine=engine,
         keep_traces=False,
     )
-    for i in range(n_senders):
-        service.add_peer(
-            f"s{i}",
-            lambda first_seq: NFDS(ETA, DELTA, first_seq=first_seq),
-            eta=ETA,
-        )
-    for payload in payloads:
-        service.on_datagram(payload)
     n = len(payloads)
     registry = service.registry
-    service.start()
-    while _processed(registry) < n:
-        await asyncio.sleep(0)
-    results = await service.aclose()
+    # Restarts build fresh hosts while the stream drains.
+    with _hosts(mode):
+        for i in range(n_senders):
+            service.add_peer(
+                f"s{i}",
+                lambda first_seq: NFDS(ETA, DELTA, first_seq=first_seq),
+                eta=ETA,
+            )
+        for payload in payloads:
+            service.on_datagram(payload)
+        service.start()
+        while _processed(registry) < n:
+            await asyncio.sleep(0)
+        results = await service.aclose()
     counters = {
         key: metric.value
         for key, metric in registry.items()
@@ -191,11 +211,11 @@ async def _dispatch_fingerprint(payloads, n_senders, engine):
 
 
 async def verify_identity(n_senders: int, slots: int) -> dict:
-    """Assert both engines make identical dispatch decisions."""
+    """Assert both modes make identical dispatch decisions."""
     payloads = build_mixed_stream(n_senders, slots)
     fingerprints = {
-        engine: await _dispatch_fingerprint(payloads, n_senders, engine)
-        for engine in ENGINES
+        mode: await _dispatch_fingerprint(payloads, n_senders, mode)
+        for mode in MODES
     }
     baseline_key = "object"
     baseline = fingerprints[baseline_key]
@@ -232,9 +252,9 @@ async def bench_modes(n_senders: int, slots: int) -> dict:
     }
     for label, observe in (("full_service", True), ("detector_core", False)):
         modes = {}
-        for engine in ENGINES:
-            seconds = await _run_mode(payloads, n_senders, engine, observe)
-            modes[engine] = {
+        for mode in MODES:
+            seconds = await _run_mode(payloads, n_senders, mode, observe)
+            modes[mode] = {
                 "seconds": round(seconds, 6),
                 "heartbeats_per_s": int(n / seconds),
                 "per_heartbeat_us": round(1e6 * seconds / n, 3),

@@ -7,8 +7,8 @@ writes the numbers as one JSON document (``BENCH_many_senders.json`` at
 the repo root):
 
 * **service_compare** — the full :class:`MonitorService` pipeline
-  (senders, lossy links, hosts) under ``engine="object"`` vs
-  ``engine="soa"`` at an object-tractable population, with the verdict
+  (senders, lossy links, hosts) on the object reference hosts vs the
+  shipped SoA hosts at an object-tractable population, with the verdict
   streams asserted identical;
 * **engine_scale** — the SoA engine driven through batched
   :meth:`~repro.service.soa.VectorMonitorEngine.ingest` at 10^5+
@@ -33,10 +33,12 @@ many-senders smoke); committed numbers come from a full run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -161,26 +163,36 @@ def verify_identity(n_senders: int, slots: int) -> int:
 
 
 def bench_service_compare(smoke: bool) -> dict:
-    """Full MonitorService pipeline, object vs soa, identical verdicts."""
+    """Full MonitorService pipeline, object reference hosts vs the
+    shipped SoA hosts, identical verdicts."""
     from repro.core.nfd_s import NFDS
     from repro.net.delays import ExponentialDelay
+    from repro.service import soa
     from repro.service.monitor_service import MonitorService
     from repro.sim.engine import Simulator
 
     n = 100 if smoke else 600
     horizon = 20.0 if smoke else 60.0
 
-    def run(engine_kind):
+    def run(refuse_engine):
         sim = Simulator()
-        svc = MonitorService(sim, seed=17, engine=engine_kind)
-        for i in range(n):
-            svc.add_process(
-                f"p{i}",
-                NFDS(eta=ETA, delta=DELTA),
-                eta=ETA,
-                delay=ExponentialDelay(DELAY_SCALE),
-                loss_probability=LOSS,
-            )
+        svc = MonitorService(sim, seed=17)
+        # The object reference hosts are reached through the selection
+        # predicate, the seam the identity tests use.
+        hosts = (
+            mock.patch.object(soa, "supports_detector", lambda d: False)
+            if refuse_engine
+            else contextlib.nullcontext()
+        )
+        with hosts:
+            for i in range(n):
+                svc.add_process(
+                    f"p{i}",
+                    NFDS(eta=ETA, delta=DELTA),
+                    eta=ETA,
+                    delay=ExponentialDelay(DELAY_SCALE),
+                    loss_probability=LOSS,
+                )
         svc.start()
         seconds = _time(lambda: sim.run_until(horizon))
         delivered = sum(
@@ -192,8 +204,8 @@ def bench_service_compare(smoke: bool) -> dict:
         }
         return seconds, delivered, traces
 
-    obj_s, obj_hb, obj_traces = run("object")
-    soa_s, soa_hb, soa_traces = run("soa")
+    obj_s, obj_hb, obj_traces = run(refuse_engine=True)
+    soa_s, soa_hb, soa_traces = run(refuse_engine=False)
     assert obj_traces == soa_traces, "service verdict streams diverged"
     assert obj_hb == soa_hb
     return {

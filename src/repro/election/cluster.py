@@ -137,9 +137,6 @@ class ElectionCluster:
             from each link's own stream).
         loss_probability: i.i.d. message-loss probability per link.
         seed: base seed; monitors derive independent streams from it.
-        engine: ``"object"`` or ``"soa"`` — forwarded to every
-            :class:`MonitorService`, so the election layer runs
-            unchanged on both detector backends.
         registry: optional telemetry registry shared by all electors
             (labelled per monitor).
         scenario_factory: optional ``(monitor, subject) -> FaultScenario``
@@ -162,7 +159,6 @@ class ElectionCluster:
         delay: DelayDistribution,
         loss_probability: float = 0.0,
         seed: int = 0,
-        engine: str = "object",
         registry=None,
         scenario_factory=None,
         clock_factory=None,
@@ -189,7 +185,6 @@ class ElectionCluster:
                 self.sim,
                 seed=(int(seed) * 1000003 + zlib.crc32(m.encode("utf-8")))
                 % (2**31),
-                engine=engine,
             )
             for subject in names:
                 if subject == m:

@@ -153,7 +153,6 @@ def _run_churn(
     factory: Callable,
     eta: float,
     settings: ElectionSettings,
-    engine: str,
 ):
     s = settings
     h = s.horizon
@@ -164,7 +163,6 @@ def _run_churn(
         delay=s.delay,
         loss_probability=s.loss_probability,
         seed=s.seed,
-        engine=engine,
     )
     # Two leader crashes (p0 is the smallest name, hence the stable
     # leader) and one non-leader crash; every recovery is a new
@@ -184,7 +182,6 @@ def _run_faults(
     factory: Callable,
     eta: float,
     settings: ElectionSettings,
-    engine: str,
 ):
     s = settings
     h = s.horizon
@@ -204,7 +201,6 @@ def _run_faults(
         delay=s.delay,
         loss_probability=s.loss_probability,
         seed=s.seed + 1,
-        engine=engine,
         scenario_factory=lambda m, subj: burst,
     )
     cluster.crash("p0", 0.65 * h)
@@ -215,7 +211,6 @@ def _run_faults(
 
 def run_election_qos(
     full: bool = False,
-    engine: str = "object",
     settings: Optional[ElectionSettings] = None,
 ) -> List[ExperimentTable]:
     """E17: detector QoS vs. the election QoS it induces.
@@ -236,7 +231,7 @@ def run_election_qos(
                 f"E(D)={settings.mean_delay}, "
                 f"p_L={settings.loss_probability}, "
                 f"horizon={settings.horizon:g}, observer="
-                f"{settings.observer}, engine={engine}"
+                f"{settings.observer}"
             ),
             columns=[
                 "detector",
@@ -252,7 +247,7 @@ def run_election_qos(
             ],
         )
         for label, factory, eta, predicted in settings.detectors():
-            result = runner(label, factory, eta, settings, engine)
+            result = runner(label, factory, eta, settings)
             pooled, t_d = _detector_qos(result, settings)
             qos = result.qos(settings.observer, start=settings.warmup)
             table.add_row(

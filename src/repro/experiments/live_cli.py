@@ -75,12 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "Prometheus exposition goes alongside with a .prom suffix"
         ),
     )
-    soak.add_argument(
-        "--engine",
-        choices=["object", "soa"],
-        default="object",
-        help="detector backend: per-peer hosts or the shared SoA engine",
-    )
 
     send = sub.add_parser(
         "send", parents=[common], help="UDP heartbeat sender (process p)"
@@ -117,12 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mon.add_argument("--duration", type=float, default=None)
     mon.add_argument("--report-every", type=float, default=2.0)
     mon.add_argument("--telemetry-out", type=Path, default=None)
-    mon.add_argument(
-        "--engine",
-        choices=["object", "soa"],
-        default="object",
-        help="detector backend: per-peer hosts or the shared SoA engine",
-    )
     return parser
 
 
@@ -148,7 +136,6 @@ def _run_soak(args) -> int:
         kill=args.kill,
         kill_after=args.kill_after,
         seed=args.seed,
-        engine=args.engine,
     )
     result = run_soak(config)
     report = result.report()
@@ -199,7 +186,6 @@ def _run_monitor(args) -> int:
                 duration=args.duration,
                 report_every=args.report_every,
                 registry=registry,
-                engine=args.engine,
             )
         )
     except KeyboardInterrupt:

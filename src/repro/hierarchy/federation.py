@@ -74,7 +74,6 @@ class HierarchyConfig:
     plane_delay: Optional[DelayDistribution] = None
     plane_loss: float = 0.0
     seed: int = 0
-    engine: str = "soa"
     detector_factory: Optional[Callable[[], HeartbeatFailureDetector]] = None
 
     def __post_init__(self) -> None:
@@ -208,7 +207,7 @@ class HierarchicalMonitor:
                 [cfg.seed, _STREAM_HIERARCHY, zlib.crc32(leaf_id.encode())]
             ).generate_state(1)[0]
             self.leaves[leaf_id] = LeafMonitor(
-                leaf_id, self.sim, seed=int(leaf_seed), engine=cfg.engine
+                leaf_id, self.sim, seed=int(leaf_seed)
             )
         for name in self.sender_names:
             self._add_to_leaf(name)

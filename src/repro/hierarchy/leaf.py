@@ -1,8 +1,8 @@
 """Leaf tier: a monitor service watching one shard of senders.
 
 A :class:`LeafMonitor` wraps a :class:`~repro.service.MonitorService`
-(by default on the vectorized SoA engine, which is what lets a leaf
-carry 10^4+ senders) and maintains the shard-status book the digest
+(NFD-S/U/E senders live on the vectorized SoA engine, which is what
+lets a leaf carry 10^4+ senders) and maintains the shard-status book the digest
 plane publishes: every detector transition, admission, restart and
 removal bumps the affected sender's status version, and
 :meth:`make_digest` snapshots the book under a fresh digest version.
@@ -32,10 +32,9 @@ class LeafMonitor:
         leaf_id: str,
         sim: Simulator,
         seed: int = 0,
-        engine: str = "soa",
     ) -> None:
         self.leaf_id = leaf_id
-        self.service = MonitorService(sim, seed=seed, engine=engine)
+        self.service = MonitorService(sim, seed=seed)
         self.service.subscribe(self._on_event)
         self._sim = sim
         self._statuses: Dict[str, SenderStatus] = {}

@@ -3,8 +3,10 @@
 :class:`LiveMonitorService` is the live counterpart of
 :class:`~repro.service.monitor_service.MonitorService`: it receives raw
 datagrams from a transport, decodes them, and dispatches each heartbeat
-to the per-peer :class:`~repro.live.runtime.LiveDetectorHost` — with the
-operational hardening a wall-clock service needs:
+to the peer's host — an engine row (:class:`~repro.live.soa.SoALiveHost`)
+for NFD-S/U/E, a :class:`~repro.live.runtime.LiveDetectorHost` for any
+other detector — with the operational hardening a wall-clock service
+needs:
 
 * **bounded inbox** — the transport callback only enqueues; a consumer
   task drains.  When the queue is full the datagram is dropped and
@@ -36,17 +38,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
-import numpy as np
-
 from repro.core.base import HeartbeatFailureDetector
 from repro.errors import EstimationError, InvalidParameterError, SimulationError
 from repro.estimation.observer import HeartbeatObserver
 from repro.live.runtime import LiveDetectorHost
 from repro.live.soa import LoopWheelScheduler, SoALiveHost
 from repro.live.supervisor import TaskSupervisor
-from repro.service.soa import VectorMonitorEngine, supports_detector
 from repro.live.wire import HeartbeatBatchDecoder, WireError
 from repro.metrics.transitions import SUSPECT, OutputTrace
+from repro.service import soa
 from repro.service.events import MonitorEvent
 from repro.telemetry.qos_online import OnlineQoSEstimator
 from repro.telemetry.registry import MetricsRegistry
@@ -97,7 +97,7 @@ class _Peer:
         self.observe = observe
         self.incarnation = 0
         self.first_seq = 1
-        #: LiveDetectorHost (object backend) or SoALiveHost (soa backend)
+        #: SoALiveHost (NFD-S/U/E) or LiveDetectorHost (other detectors)
         self.host: Optional[object] = None
 
 
@@ -114,18 +114,14 @@ class LiveMonitorService:
         warmup: per-incarnation startup span excluded from online QoS.
         keep_traces: retain full output traces (on for soaks/tests, off
             for indefinitely-running services).
-        engine: ``"object"`` (default) hosts each peer in its own
-            :class:`LiveDetectorHost` with per-peer loop timers;
-            ``"soa"`` hosts NFD-S/U/E peers in a shared
-            :class:`~repro.service.soa.VectorMonitorEngine` — one armed
-            loop timer for the whole service, and one vectorized
-            :meth:`~repro.service.soa.VectorMonitorEngine.ingest` per
-            drained chunk.  Verdicts are identical; the cost is not.
-            Object wins when each consumer wakeup carries about one
-            datagram (the ``fleet`` benchmark workload: senders on
-            spread periods), because SoA pays a fixed cost per ingest;
-            SoA wins on bursts (the ``incast`` workload: many senders
-            on one send grid), where one ingest covers a large chunk.
+
+    The detector picks its host: NFD-S/U/E peers live in one shared
+    :class:`~repro.service.soa.VectorMonitorEngine` — one armed loop
+    timer for the whole service, and one
+    :meth:`~repro.service.soa.VectorMonitorEngine.ingest` per drained
+    chunk, which takes NumPy passes only when the chunk is large enough
+    to pay for them.  Every other detector gets its own
+    :class:`LiveDetectorHost` with per-peer loop timers.
 
     The inbox consumer drains up to a fixed chunk of queued datagrams
     per wakeup and dispatches them through one routine
@@ -142,15 +138,10 @@ class LiveMonitorService:
         warmup: float = 0.0,
         keep_traces: bool = True,
         auto_admit: Optional[AdmitHook] = None,
-        engine: str = "object",
     ) -> None:
         if inbox_limit < 1:
             raise InvalidParameterError(
                 f"inbox_limit must be >= 1, got {inbox_limit}"
-            )
-        if engine not in ("object", "soa"):
-            raise InvalidParameterError(
-                f"unknown engine {engine!r}; expected 'object' or 'soa'"
             )
         self._loop = (
             loop if loop is not None else asyncio.get_running_loop()
@@ -162,8 +153,7 @@ class LiveMonitorService:
         self._warmup = float(warmup)
         self._keep_traces = keep_traces
         self._auto_admit = auto_admit
-        self._engine_kind = engine
-        self._soa_engine: Optional[VectorMonitorEngine] = None
+        self._soa_engine: Optional[soa.VectorMonitorEngine] = None
         self._soa_scheduler: Optional[LoopWheelScheduler] = None
         self._decoder = HeartbeatBatchDecoder()
         # Reused accumulators for the SoA ingest path.  Receipt times
@@ -249,19 +239,14 @@ class LiveMonitorService:
         return self._origin
 
     @property
-    def engine(self) -> str:
-        """The selected backend (``"object"`` or ``"soa"``)."""
-        return self._engine_kind
-
-    @property
-    def soa_engine(self) -> Optional[VectorMonitorEngine]:
+    def soa_engine(self) -> Optional[soa.VectorMonitorEngine]:
         """The shared SoA engine, if the service has built one."""
         return self._soa_engine
 
-    def _soa(self) -> VectorMonitorEngine:
+    def _soa(self) -> soa.VectorMonitorEngine:
         if self._soa_engine is None:
             self._soa_scheduler = LoopWheelScheduler(self._loop, self._origin)
-            self._soa_engine = VectorMonitorEngine(self._soa_scheduler)
+            self._soa_engine = soa.VectorMonitorEngine(self._soa_scheduler)
         return self._soa_engine
 
     def local_now(self) -> float:
@@ -332,7 +317,7 @@ class LiveMonitorService:
         hook = lambda t, out, name=peer.name, inc=incarnation: (  # noqa: E731
             self._note_transition(name, out, t, inc)
         )
-        if self._engine_kind == "soa" and supports_detector(detector):
+        if soa.supports_detector(detector):
             host = SoALiveHost(
                 self._soa(),
                 detector,
@@ -340,7 +325,6 @@ class LiveMonitorService:
                 keep_trace=self._keep_traces,
                 observer=observer,
                 on_transition=hook,
-                label=peer.name,
             )
         else:
             host = LiveDetectorHost(
@@ -549,7 +533,7 @@ class LiveMonitorService:
             # Block for the first datagram, then opportunistically drain
             # the backlog up to the chunk limit: under load one consumer
             # wakeup dispatches hundreds of heartbeats, and the SoA
-            # backend applies them with one vectorized ingest.
+            # engine applies them with one vectorized ingest.
             if not inbox:
                 ready.clear()
                 await ready.wait()
@@ -563,27 +547,25 @@ class LiveMonitorService:
     def _flush_soa(self) -> None:
         """Apply buffered receipts to the SoA engine in one ingest."""
         rows = self._pend_rows
-        if not rows:
-            self._pend_marks.clear()
-            return
-        assert self._soa_engine is not None
         marks = self._pend_marks
+        if not rows:
+            marks.clear()
+            return
         # Every buffered receipt must belong to a recorded segment —
         # feeding uninitialized times to the engine would corrupt
         # verdicts silently.
         assert marks and marks[0][1] == 0, "receipts outside any segment"
-        times = np.empty(len(rows), dtype=np.float64)
+        times: List[float] = []
         for k, (t, start) in enumerate(marks):
             end = marks[k + 1][1] if k + 1 < len(marks) else len(rows)
-            times[start:end] = t
-        self._soa_engine.ingest(
-            times,
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(self._pend_seqs, dtype=np.int64),
-        )
+            times.extend([t] * (end - start))
+        # Empty the buffers before the ingest: a transition listener
+        # that removes a peer flushes again, and must find nothing.
+        batch_rows, batch_seqs = rows[:], self._pend_seqs[:]
         rows.clear()
         self._pend_seqs.clear()
         marks.clear()
+        self._soa_engine.ingest(times, batch_rows, batch_seqs)
 
     def _dispatch_batch(self, payloads: List[bytes]) -> None:
         """Decode and dispatch one drained chunk, datagram by datagram.
@@ -600,11 +582,14 @@ class LiveMonitorService:
         The chunk is decoded by the allocation-light
         :class:`~repro.live.wire.HeartbeatBatchDecoder` (tuples +
         interned names, no per-message dataclass), counters are
-        incremented once per chunk, and deliveries to SoA-hosted peers
-        are accumulated as ``(time, row, seq)`` and applied with a
-        single :meth:`~repro.service.soa.VectorMonitorEngine.ingest`.
-        The buffer is flushed before any structural change (admission,
-        incarnation restart) so engine state never moves out of order.
+        incremented once per chunk, and receipts for trusting engine
+        rows — which cannot produce a T — are accumulated as
+        ``(time, row, seq)`` and applied with a single
+        :meth:`~repro.service.soa.VectorMonitorEngine.ingest`.  Every
+        other receipt is applied at once with its own clock read.  The
+        buffer is flushed before any such receipt and before any
+        structural change (admission, incarnation restart), so engine
+        state never moves out of order.
         """
         decode = self._decoder.decode_fields
         peers = self._peers
@@ -643,7 +628,9 @@ class LiveMonitorService:
                 self._start_incarnation(peer, incarnation=incarnation)
                 chunk_now = None  # fresh row, fresh clock read
             host = peer.host
-            if isinstance(host, SoALiveHost):
+            if isinstance(host, SoALiveHost) and host.trusted:
+                # A receipt for a trusting row cannot produce a T: it
+                # joins the chunk's one ingest.
                 if chunk_now is None:
                     chunk_now = self._soa_engine.now
                     self._pend_marks.append((chunk_now, len(pend_rows)))
@@ -669,6 +656,12 @@ class LiveMonitorService:
                     pend_seqs.append(seq)
                 n_dispatched += 1
             else:
+                # A receipt that may trust its peer (or one for an
+                # object host) is applied at once on its own clock
+                # read: buffered behind the rest of the chunk, the T
+                # would be published later than its receipt time.
+                self._flush_soa()
+                chunk_now = None
                 try:
                     host.deliver_parts(seq, sigma)
                 except EstimationError:

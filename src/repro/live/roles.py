@@ -113,7 +113,6 @@ async def run_udp_monitor(
     report_every: float = 2.0,
     registry=None,
     emit: Callable[[str], None] = print,
-    engine: str = "object",
 ) -> LiveMonitorService:
     """Monitor whatever senders appear at ``host:port``.
 
@@ -122,10 +121,8 @@ async def run_udp_monitor(
     ``report_every`` seconds a one-line status is emitted.  Returns the
     (closed) service so callers can inspect results and telemetry.
 
-    ``engine`` selects the detector datapath (SoA detector tables or
-    per-peer hosts); both are verdict-identical.  The socket is drained
-    by :class:`BatchedUdpMonitorTransport`, which falls back to the
-    asyncio endpoint on loops without ``add_reader``.
+    The socket is drained by :class:`BatchedUdpMonitorTransport`, which
+    falls back to the asyncio endpoint on loops without ``add_reader``.
     """
     loop = asyncio.get_running_loop()
     service = LiveMonitorService(
@@ -133,7 +130,6 @@ async def run_udp_monitor(
         origin=epoch_origin(loop),
         registry=registry,
         keep_traces=False,  # a real monitor runs indefinitely
-        engine=engine,
         auto_admit=lambda name: (
             detector_factory_for(detector, eta, delta),
             eta,

@@ -23,8 +23,7 @@ from typing import Callable, Optional
 from repro.core.base import HeartbeatFailureDetector
 from repro.errors import SimulationError
 from repro.estimation.observer import HeartbeatObserver
-from repro.live.wire import LiveHeartbeat
-from repro.metrics.transitions import OutputTrace
+from repro.metrics.transitions import TRUST, OutputTrace
 from repro.service.soa import VectorMonitorEngine, _RowDetectorView
 from repro.telemetry.qos_online import OnlineQoSEstimator
 
@@ -85,7 +84,6 @@ class SoALiveHost:
         keep_trace: bool = True,
         observer: Optional[HeartbeatObserver] = None,
         on_transition: Optional[Callable[[float, str], None]] = None,
-        label: str = "",
     ) -> None:
         self._engine = engine
         self._observer = observer
@@ -104,7 +102,7 @@ class SoALiveHost:
             warmup=warmup,
         )
         self._row = engine.register(
-            detector, on_transition=self._on_engine_transition, label=label
+            detector, on_transition=self._on_engine_transition
         )
         self._detector_view = _RowDetectorView(engine, self._row, detector)
 
@@ -134,6 +132,11 @@ class SoALiveHost:
     def stopped(self) -> bool:
         return self._stopped
 
+    @property
+    def trusted(self) -> bool:
+        """Whether the row currently trusts its peer."""
+        return self._engine.output_char(self._row) == TRUST
+
     def local_now(self) -> float:
         return self._engine.now
 
@@ -142,17 +145,13 @@ class SoALiveHost:
             raise SimulationError("host already stopped")
         self._engine.start_row(self._row)
 
-    def deliver(self, heartbeat: LiveHeartbeat) -> None:
-        """Feed one decoded heartbeat; receipt time is local *now*.
+    def deliver_parts(self, seq: int, send_local_time: float) -> None:
+        """Feed one receipt; receipt time is local *now*.
 
         Mirrors the object host's order: the observer sees the receipt
         first (an :class:`~repro.errors.EstimationError` for pre-window
         sequence numbers propagates before the detector state moves).
         """
-        self.deliver_parts(heartbeat.seq, heartbeat.send_local_time)
-
-    def deliver_parts(self, seq: int, send_local_time: float) -> None:
-        """Scalar delivery from plain fields (no wrapper dataclasses)."""
         t = self.prepare(seq, send_local_time)
         if t is not None:
             self._engine.deliver(self._row, seq, send_local_time, at_real=t)

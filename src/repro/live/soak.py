@@ -81,8 +81,6 @@ class SoakConfig:
     sched_allowance: float = 0.005
     #: extra detection time allowed over the δ+η bound (callback dispatch).
     detect_allowance: float = 0.25
-    #: detector backend: "object" (per-peer hosts) or "soa" (shared engine).
-    engine: str = "object"
 
     def __post_init__(self) -> None:
         if self.peers < 1:
@@ -101,10 +99,6 @@ class SoakConfig:
             )
         if self.eta <= 0 or self.delta < 0:
             raise InvalidParameterError("need eta > 0 and delta >= 0")
-        if self.engine not in ("object", "soa"):
-            raise InvalidParameterError(
-                f"unknown engine {self.engine!r}; expected 'object' or 'soa'"
-            )
         kill_at = self.kill_time
         if self.kill and not (
             self.effective_warmup
@@ -334,7 +328,6 @@ async def soak(config: SoakConfig) -> SoakResult:
         inbox_limit=config.inbox_limit,
         warmup=config.effective_warmup,
         keep_traces=True,
-        engine=config.engine,
     )
     network = LoopbackNetwork(loop)
     network.attach_monitor(service.on_datagram)

@@ -26,23 +26,13 @@ from repro.metrics.transitions import OutputTrace
 from repro.net.clocks import Clock
 from repro.net.delays import DelayDistribution
 from repro.net.link import LossyLink
+from repro.service import soa
 from repro.service.events import MonitorEvent
-from repro.service.soa import (
-    SimWheelScheduler,
-    SoAMonitorHost,
-    VectorMonitorEngine,
-    supports_detector,
-)
 from repro.sim.engine import Simulator
 from repro.sim.heartbeat import HeartbeatSender
 from repro.sim.monitor import DetectorHost
 
 __all__ = ["MonitoredProcess", "MonitorService"]
-
-#: selectable monitor backends: ``"object"`` is the paper-faithful
-#: detector-instance-per-sender path; ``"soa"`` keeps NFD-S/U/E state in
-#: the shared :class:`~repro.service.soa.VectorMonitorEngine` tables.
-ENGINES = ("object", "soa")
 
 Listener = Callable[[MonitorEvent], None]
 
@@ -53,9 +43,9 @@ class MonitoredProcess:
 
     name: str
     sender: HeartbeatSender
-    #: either a :class:`DetectorHost` (object backend) or a
-    #: :class:`~repro.service.soa.SoAMonitorHost` (SoA backend); both
-    #: expose the same surface (detector, deliver, stop, finish, …).
+    #: a :class:`~repro.service.soa.SoAMonitorHost` (NFD-S/U/E) or a
+    #: :class:`DetectorHost` (every other detector); both expose the
+    #: same surface (detector, deliver, stop, finish, …).
     host: object
     link: LossyLink
     incarnation: int = 0
@@ -104,28 +94,18 @@ class MonitorService:
         sim: the discrete-event simulator all pipelines run on.
         seed: base seed; each (process, incarnation) derives its own
             independent random stream.
-        engine: ``"object"`` (default) hosts each sender in its own
-            :class:`~repro.sim.monitor.DetectorHost`; ``"soa"`` hosts
-            NFD-S/U/E senders in the shared vectorized
-            :class:`~repro.service.soa.VectorMonitorEngine` (detectors
-            the engine cannot vectorize transparently fall back to the
-            object path).  Verdict streams are bit-identical either way;
-            "soa" trades per-sender objects for NumPy tables and a
-            single timer wheel, which is what lets one monitor track
-            10^5+ senders.
+
+    The detector picks its host: NFD-S/U/E senders live in the shared
+    vectorized :class:`~repro.service.soa.VectorMonitorEngine` (NumPy
+    tables and a single timer wheel, which is what lets one monitor
+    track 10^5+ senders); every other detector gets its own
+    :class:`~repro.sim.monitor.DetectorHost`.
     """
 
-    def __init__(
-        self, sim: Simulator, seed: int = 0, engine: str = "object"
-    ) -> None:
-        if engine not in ENGINES:
-            raise InvalidParameterError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+    def __init__(self, sim: Simulator, seed: int = 0) -> None:
         self._sim = sim
         self._seed = int(seed)
-        self._engine_kind = engine
-        self._soa: Optional[VectorMonitorEngine] = None
+        self._soa: Optional[soa.VectorMonitorEngine] = None
         self._processes: Dict[str, MonitoredProcess] = {}
         self._closed_traces: Dict[Tuple[str, int], OutputTrace] = {}
         self._closed_crash_times: Dict[Tuple[str, int], float] = {}
@@ -137,18 +117,15 @@ class MonitorService:
         return self._sim
 
     @property
-    def engine(self) -> str:
-        """The selected backend (``"object"`` or ``"soa"``)."""
-        return self._engine_kind
-
-    @property
-    def soa_engine(self) -> Optional[VectorMonitorEngine]:
+    def soa_engine(self) -> Optional[soa.VectorMonitorEngine]:
         """The shared SoA engine, if the service has built one."""
         return self._soa
 
-    def _soa_engine(self) -> VectorMonitorEngine:
+    def _soa_engine(self) -> soa.VectorMonitorEngine:
         if self._soa is None:
-            self._soa = VectorMonitorEngine(SimWheelScheduler(self._sim))
+            self._soa = soa.VectorMonitorEngine(
+                soa.SimWheelScheduler(self._sim)
+            )
         return self._soa
 
     @property
@@ -239,14 +216,12 @@ class MonitorService:
             link = FaultyLink(link, fault_rng)
             sender_clock = _resolve_clock(sender_clock, scenario, "sender")
             monitor_clock = _resolve_clock(monitor_clock, scenario, "monitor")
-        if self._engine_kind == "soa" and supports_detector(detector):
-            host = SoAMonitorHost(
+        if soa.supports_detector(detector):
+            host = soa.SoAMonitorHost(
                 self._soa_engine(),
                 detector,
                 clock=monitor_clock,
-                sender_clock=sender_clock,
                 incarnation=incarnation,
-                label=name,
             )
         else:
             host = DetectorHost(
@@ -285,7 +260,7 @@ class MonitorService:
         self._processes[name] = proc
         # Re-route the host's transition recording through the service so
         # listeners see named events (the trace still records too).
-        if isinstance(host, SoAMonitorHost):
+        if isinstance(host, soa.SoAMonitorHost):
             host.listener = self._make_listener(proc, None)
         else:
             detector._listener = self._make_listener(proc, detector._listener)
@@ -383,8 +358,8 @@ class MonitorService:
         group membership) see the departure.  The incarnation's output
         trace is closed *and retained* (see :meth:`finish`) — mistakes
         made by departed incarnations stay in the QoS accounting — and
-        the host's pending timer chain is cancelled (object backend) or
-        its engine row retired (SoA backend), so a removed sender can
+        the host's engine row is retired (or, on an object host, its
+        pending timer chain cancelled), so a removed sender can
         never fire a final post-removal transition and churn-heavy runs
         do not accumulate inert simulator events.
         """

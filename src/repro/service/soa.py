@@ -25,21 +25,29 @@ with a struct-of-arrays core:
   batched-kernel idiom of :mod:`repro.sim.batch`.
 
 Correctness bar: the engine produces **bit-identical verdict streams**
-to the object backend — same transition times, same outputs, same
-ordering — which the dual-engine suites in ``tests/service`` pin under
-churn, restarts, scheduled crashes and fault scenarios.
+to the object-per-sender reference hosts (:class:`~repro.sim.monitor.
+DetectorHost`, :class:`~repro.live.runtime.LiveDetectorHost`) — same
+transition times and outputs per sender — which the shipped-vs-reference
+suites in ``tests/service`` and ``tests/live`` pin under churn,
+restarts, scheduled crashes and fault scenarios.
 
-Canonical tie ordering (satellite of ISSUE 6): when several freshness
-deadlines land on the *identical* timestamp, they are processed in
-``(time, row id)`` order, where row ids are assigned in registration
-order; and deadlines at time ``t`` are processed before heartbeats
-arriving at ``t``.  The object backend produces the same order because
-each detector re-arms its next freshness timer from inside the previous
-one (arm order = registration order, and with ``δ < η`` the timer is
-always armed before a colliding delivery is scheduled).  The only
-divergence is the contrived ``δ ≥ η`` configuration with a heartbeat
-arrival *exactly* equal to a freshness point, where the object path
-lets the delivery win; the engine keeps the deadline-first rule.
+Canonical tie ordering: deadlines on the *identical* timestamp are
+processed in ``(time, row id)`` order (row ids follow registration), and
+deadlines at ``t`` precede heartbeats arriving at ``t``.  The reference
+hosts fire coinciding timers in arm order.  That is row order for NFD-S
+senders on one ``(η, δ)`` grid (each detector re-arms from inside its
+previous timer), but not across grids, nor for NFD-U/E expiries, which
+each sender's last receipt arms: there the events at one instant are
+the same and only their order across senders differs.  The other
+divergence is the contrived ``δ ≥ η`` NFD-S configuration with an
+arrival *exactly* on a freshness point, where the reference lets the
+delivery win; the engine keeps deadline-first.
+
+Size-chosen routes: NumPy pays a fixed cost per call that only a batch
+amortises.  An ingest of at most ``_SCALAR_MAX`` receipts, and a cohort
+tick with at most that many members, run as plain Python loops over the
+same tables; larger ones take the vectorized passes.  Both routes apply
+the same rules in the same order, so the route never changes a verdict.
 
 The engine is scheduler-agnostic: the simulator backend drives it
 through :class:`SimWheelScheduler`, the live runtime through
@@ -85,15 +93,24 @@ _ENTRY_COHORT = 1
 #: transition sink signature: (real_time, local_time, "T"/"S")
 TransitionSink = Callable[[float, float, str], None]
 
+#: Largest ingest (receipts) or cohort tick (members) handled by plain
+#: Python loops; above it the vectorized passes amortise NumPy's fixed
+#: cost per call.  A one-datagram-per-wakeup stream of senders on
+#: spread periods (one cohort each) stays entirely below it.
+_SCALAR_MAX = 8
+
 
 def supports_detector(detector: HeartbeatFailureDetector) -> bool:
     """Whether the SoA engine can host this detector natively.
 
-    The engine vectorizes the paper's three NFD algorithms.  Other
-    detectors (adaptive, φ-accrual, …) fall back to the object-per-
-    sender host even under ``engine="soa"``.
+    This is the services' host selection: the engine vectorizes the
+    paper's three NFD algorithms, and every other detector (adaptive,
+    φ-accrual, …) runs on the object-per-sender host.  The check is on
+    the exact type: a subclass (e.g. the self-reconfiguring
+    :class:`~repro.core.adaptive.AdaptiveNFDE`) may change behaviour
+    the engine's tables do not model.
     """
-    return isinstance(detector, (NFDS, NFDU, NFDE))
+    return type(detector) in (NFDS, NFDU, NFDE)
 
 
 # ---------------------------------------------------------------------- #
@@ -217,7 +234,6 @@ class VectorMonitorEngine:
         self._clocks: List[Optional[Clock]] = []
         self._sinks: List[Optional[TransitionSink]] = []
         self._ea_fns: List[Optional[Callable[[int], float]]] = []
-        self._labels: List[str] = []
         self._cohorts: Dict[Tuple[float, float], _Cohort] = {}
         self.transition_log: Optional[List[Tuple[float, int, str]]] = (
             [] if record_transitions else None
@@ -226,10 +242,6 @@ class VectorMonitorEngine:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    @property
-    def scheduler(self):
-        return self._scheduler
 
     @property
     def now(self) -> float:
@@ -262,11 +274,6 @@ class VectorMonitorEngine:
 
     def incarnation(self, row: int) -> int:
         return int(self._incarnation[row])
-
-    def trusted_rows(self) -> np.ndarray:
-        """Row ids currently active and trusting."""
-        mask = self._active[: self._n] & self._trusted[: self._n]
-        return np.nonzero(mask)[0]
 
     # ------------------------------------------------------------------ #
     # Registration / removal
@@ -330,7 +337,6 @@ class VectorMonitorEngine:
         clock: Optional[Clock] = None,
         on_transition: Optional[TransitionSink] = None,
         incarnation: int = 0,
-        label: str = "",
     ) -> int:
         """Add a sender row; the detector instance is the parameter spec.
 
@@ -341,7 +347,7 @@ class VectorMonitorEngine:
         if not supports_detector(detector):
             raise InvalidParameterError(
                 f"SoA engine does not support {type(detector).__name__}; "
-                f"use the object backend for this detector"
+                f"it runs on an object host"
             )
         if detector._runtime is not None or detector._started:
             raise SimulationError(
@@ -359,7 +365,6 @@ class VectorMonitorEngine:
         self._delivered[row] = 0
         self._clocks.append(None if clock is None else clock)
         self._sinks.append(on_transition)
-        self._labels.append(label)
         if isinstance(detector, NFDE):
             self._kind[row] = KIND_NFDE
             self._shift[row] = detector.alpha
@@ -385,11 +390,16 @@ class VectorMonitorEngine:
         """Retire a row.  **Idempotent**; no transition is ever emitted
         for the row after this returns — deadlines already due in the
         wheel are invalidated, the SoA analogue of cancelling a removed
-        sender's timer chain."""
+        sender's timer chain.  The row's sink, expected-arrival function
+        and clock are released, so a retired row does not keep its host
+        alive."""
         if row < 0 or row >= self._n or not self._active[row]:
             return
         self._active[row] = False
         self._gen[row] += 1
+        self._sinks[row] = None
+        self._ea_fns[row] = None
+        self._clocks[row] = None
 
     # ------------------------------------------------------------------ #
     # Clock helpers (scalar paths)
@@ -502,25 +512,14 @@ class VectorMonitorEngine:
                 tick = b
                 if tick != cohort.tick:
                     continue  # superseded entry
-                members = cohort.members()
-                alive = members[self._active[members]]
-                if alive.size == 0:
-                    cohort.armed = False
+                if cohort.n <= _SCALAR_MAX:
+                    alive = self._tick_scalar(cohort, tick, suspects)
+                else:
+                    alive = self._tick_vector(cohort, tick, suspects)
+                if not alive:
+                    cohort.armed = False  # dormant until a member joins
                     cohort.n = 0
                     continue
-                if alive.size * 2 < cohort.n:
-                    cohort.rows = alive.copy()
-                    cohort.n = alive.size
-                    alive = cohort.members()
-                due = alive[self._next_check[alive] == tick]
-                if due.size:
-                    stale = due[self._max_seq[due] < tick]
-                    if stale.size:
-                        newly = stale[self._trusted[stale]]
-                        if newly.size:
-                            self._trusted[newly] = False
-                            suspects.extend(int(r) for r in newly)
-                    self._next_check[due] = tick + 1
                 cohort.tick = tick + 1
                 rearm.append(
                     (cohort.freshness(tick + 1), _ENTRY_COHORT, a, tick + 1)
@@ -557,6 +556,53 @@ class VectorMonitorEngine:
             for row in suspects:
                 self._emit(row, t0, SUSPECT)
 
+    def _tick_scalar(
+        self, cohort: _Cohort, tick: int, suspects: List[int]
+    ) -> bool:
+        """One freshness point of a small cohort, member by member.
+        Returns False when no member is active any more."""
+        active = self._active
+        alive = [r for r in cohort.rows[: cohort.n].tolist() if active[r]]
+        if not alive:
+            return False
+        if len(alive) * 2 < cohort.n:
+            cohort.rows[: len(alive)] = alive
+            cohort.n = len(alive)
+        next_check = self._next_check
+        max_seq = self._max_seq
+        trusted = self._trusted
+        for row in alive:
+            if next_check[row] == tick:
+                if max_seq[row] < tick and trusted[row]:
+                    trusted[row] = False
+                    suspects.append(row)
+                next_check[row] = tick + 1
+        return True
+
+    def _tick_vector(
+        self, cohort: _Cohort, tick: int, suspects: List[int]
+    ) -> bool:
+        """One freshness point of a large cohort in vectorized passes.
+        Returns False when no member is active any more."""
+        members = cohort.members()
+        alive = members[self._active[members]]
+        if alive.size == 0:
+            return False
+        if alive.size * 2 < cohort.n:
+            cohort.rows = alive.copy()
+            cohort.n = alive.size
+            alive = cohort.members()
+        due = alive[self._next_check[alive] == tick]
+        if due.size:
+            stale = due[self._max_seq[due] < tick]
+            if stale.size:
+                newly = stale[self._trusted[stale]]
+                if newly.size:
+                    self._trusted[newly] = False
+                    suspects.extend(newly.tolist())
+            self._next_check[due] = tick + 1
+        return True
+
     def _emit(self, row: int, real: float, output: str) -> None:
         if not self._active[row]:
             return  # removed by a listener earlier in this slice
@@ -567,7 +613,7 @@ class VectorMonitorEngine:
             sink(real, self._local(row, real), output)
 
     # ------------------------------------------------------------------ #
-    # Scalar delivery
+    # Receipts
     # ------------------------------------------------------------------ #
 
     @staticmethod
@@ -580,34 +626,6 @@ class VectorMonitorEngine:
         while (i + 1) * eta + delta <= now:
             i += 1
         return i if i > 0 else 0
-
-    def deliver(
-        self,
-        row: int,
-        seq: int,
-        send_local_time: float = 0.0,
-        at_real: Optional[float] = None,
-    ) -> None:
-        """Process one heartbeat receipt for ``row`` at ``at_real``
-        (default: the scheduler's *now*).
-
-        Freshness deadlines due at or before the receipt time fire
-        first — the canonical deadline-before-delivery rule.
-        """
-        if row < 0 or row >= self._n or not self._active[row]:
-            return
-        t = self._scheduler.now() if at_real is None else at_real
-        self.advance(t)
-        if not self._active[row]:
-            return  # a deadline listener removed the row
-        self._time = max(self._time, t)
-        self._delivered[row] += 1
-        kind = self._kind[row]
-        if kind == KIND_NFDS:
-            self._deliver_nfds(row, seq, t)
-        else:
-            self._deliver_nfdu(row, seq, t)
-        self._request_wakeup()
 
     def _deliver_nfds(self, row: int, seq: int, t: float) -> None:
         if seq > self._max_seq[row]:
@@ -672,30 +690,42 @@ class VectorMonitorEngine:
         self._win_sum[slot] = total
         return total / min(count, window) + eta * (seq + 1)
 
-    # ------------------------------------------------------------------ #
-    # Batched ingestion
-    # ------------------------------------------------------------------ #
-
-    def ingest(
+    def deliver(
         self,
-        times: np.ndarray,
-        rows: np.ndarray,
-        seqs: np.ndarray,
+        row: int,
+        seq: int,
+        send_local_time: float = 0.0,
+        at_real: Optional[float] = None,
     ) -> None:
+        """Process one heartbeat receipt for ``row`` at ``at_real``
+        (default: the scheduler's *now*) — a one-receipt :meth:`ingest`."""
+        t = self._scheduler.now() if at_real is None else at_real
+        self.ingest((t,), (row,), (seq,))
+
+    def ingest(self, times, rows, seqs) -> None:
         """Consume a batch of heartbeats sorted by arrival time.
 
-        Between consecutive wheel deadlines, receipts for *trusted*
-        perfect-clock NFD-S rows — the steady-state bulk — are applied
-        as single vectorized passes; receipts that can transition
-        (suspected rows, NFD-U/E rows, skewed clocks) replay through the
-        exact scalar path, preserving bit-identical verdict streams.
+        Freshness deadlines due at or before a receipt's time fire
+        first — the canonical deadline-before-delivery rule.  A batch of
+        at most ``_SCALAR_MAX`` receipts is applied receipt by receipt
+        (sequences are taken as they come, no arrays are built).  A
+        larger one is cut at the wheel's deadlines; within each span,
+        receipts for *trusted* perfect-clock NFD-S rows — the
+        steady-state bulk — are applied as single vectorized passes,
+        and receipts that can transition (suspected rows, NFD-U/E rows,
+        skewed clocks) replay through the scalar rules.
         """
-        times = np.ascontiguousarray(times, dtype=np.float64)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        seqs = np.ascontiguousarray(seqs, dtype=np.int64)
         n = len(times)
         if len(rows) != n or len(seqs) != n:
             raise InvalidParameterError("times/rows/seqs length mismatch")
+        if n <= _SCALAR_MAX:
+            for t, row, seq in zip(times, rows, seqs):
+                self._receive(int(row), int(seq), float(t))
+            self._request_wakeup()
+            return
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        seqs = np.ascontiguousarray(seqs, dtype=np.int64)
         pos = 0
         while pos < n:
             t_dead = self._heap[0][0] if self._heap else math.inf
@@ -712,6 +742,27 @@ class VectorMonitorEngine:
             if pos < n:
                 self.advance(times[pos])
         self._request_wakeup()
+
+    def _receive(self, row: int, seq: int, t: float) -> None:
+        """Apply one receipt (the scalar route of :meth:`ingest`)."""
+        if row < 0 or row >= self._n or not self._active[row]:
+            return
+        heap = self._heap
+        if heap and heap[0][0] <= t:
+            self.advance(t)
+            if not self._active[row]:
+                return  # a deadline listener removed the row
+        if t > self._time:
+            self._time = t
+        self._delivered[row] += 1
+        if self._kind[row] != KIND_NFDS:
+            self._deliver_nfdu(row, seq, t)
+        elif self._trusted[row] and self._clocks[row] is None:
+            # A trusted perfect-clock row cannot transition on receipt.
+            if seq > self._max_seq[row]:
+                self._max_seq[row] = seq
+        else:
+            self._deliver_nfds(row, seq, t)
 
     def _ingest_chunk(
         self, times: np.ndarray, rows: np.ndarray, seqs: np.ndarray
@@ -804,9 +855,7 @@ class SoAMonitorHost:
         engine: VectorMonitorEngine,
         detector: HeartbeatFailureDetector,
         clock: Optional[Clock] = None,
-        sender_clock: Optional[Clock] = None,
         incarnation: int = 0,
-        label: str = "",
     ) -> None:
         from repro.metrics.transitions import OutputTrace
 
@@ -825,7 +874,6 @@ class SoAMonitorHost:
             clock=None if isinstance(self._clock, PerfectClock) else self._clock,
             on_transition=self._on_transition,
             incarnation=incarnation,
-            label=label,
         )
         self._detector_view = _RowDetectorView(engine, self._row, detector)
 

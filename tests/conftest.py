@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.net.delays import ConstantDelay, ExponentialDelay
+from repro.service import soa
 
 
 @pytest.fixture
@@ -24,6 +27,36 @@ def exp_delay():
 def const_delay():
     """A deterministic delay for exact-trace tests."""
     return ConstantDelay(0.1)
+
+
+@pytest.fixture
+def monitor_path(monkeypatch):
+    """Context manager choosing the monitor hosts of the services.
+
+    ``monitor_path("soa")`` is the shipped selection: NFD-S/U/E senders
+    live on the SoA engine.  ``monitor_path("object")`` makes the
+    selection predicate refuse every detector, so both services build
+    the object reference hosts (``DetectorHost``/``LiveDetectorHost``)
+    that the identity suites compare the shipped path against.
+    """
+
+    @contextlib.contextmanager
+    def use(kind):
+        if kind not in ("object", "soa"):
+            raise ValueError(f"unknown monitor path {kind!r}")
+        with monkeypatch.context() as patch:
+            if kind == "object":
+                patch.setattr(soa, "supports_detector", lambda d: False)
+            yield kind
+
+    return use
+
+
+@pytest.fixture(params=["object", "soa"])
+def each_path(request, monitor_path):
+    """Run the test once on the reference hosts and once shipped."""
+    with monitor_path(request.param):
+        yield request.param
 
 
 def pytest_configure(config):

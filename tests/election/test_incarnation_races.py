@@ -1,7 +1,7 @@
 """Regression pins for (name, incarnation) stitching across
-remove→restart races — on both the object path and the SoA engine's
-generation-tagged rows.  The election layer must never act on a stale
-incarnation's trust bit.
+remove→restart races — on both the object reference hosts and the SoA
+engine's generation-tagged rows.  The election layer must never act on
+a stale incarnation's trust bit.
 """
 
 from __future__ import annotations
@@ -22,21 +22,21 @@ DELTA = 0.5
 DELAY = ConstantDelay(0.05)
 
 
-def make_service(engine, seed=11):
+def make_service(seed=11):
     sim = Simulator()
-    service = MonitorService(sim, seed=seed, engine=engine)
+    service = MonitorService(sim, seed=seed)
     service.add_process("x", NFDS(ETA, DELTA), eta=ETA, delay=DELAY)
     service.add_process("y", NFDS(ETA, DELTA), eta=ETA, delay=DELAY)
     return sim, service
 
 
-@pytest.mark.parametrize("engine", ["object", "soa"])
+@pytest.mark.usefixtures("each_path")
 class TestRemoveRestartRace:
-    def test_trace_stitching_across_race(self, engine):
+    def test_trace_stitching_across_race(self):
         """Crash, then restart *before* the old incarnation's suspicion
         deadline fires: the old pipeline still has a pending S timer at
         the restart instant — the classic stale-transition race."""
-        sim, service = make_service(engine)
+        sim, service = make_service()
         events = []
         service.subscribe(events.append)
         service.start()
@@ -73,8 +73,8 @@ class TestRemoveRestartRace:
         assert rec.spans[0].crash_time == 10.0
         assert rec.spans[1].crash_time == math.inf
 
-    def test_elector_never_acts_on_stale_trust_bit(self, engine):
-        sim, service = make_service(engine)
+    def test_elector_never_acts_on_stale_trust_bit(self):
+        sim, service = make_service()
         elector = ServiceElector(service, "z")
         service.start()
         sim.run_until(10.0)
@@ -105,10 +105,10 @@ class TestRemoveRestartRace:
         assert "x" in elector.core.trusted
         assert elector.leader == "x"
 
-    def test_same_instant_remove_readd(self, engine):
+    def test_same_instant_remove_readd(self):
         """Remove and re-add at the same simulation instant: the closed
         key and the live pipeline must not collide."""
-        sim, service = make_service(engine)
+        sim, service = make_service()
         service.start()
         sim.run_until(8.0)
         service.remove_process("x")
@@ -123,11 +123,11 @@ class TestRemoveRestartRace:
         # Both incarnations observed disjoint windows.
         assert traces[("x", 7)].start_time >= 8.0
 
-    def test_soa_generation_rows_do_not_leak(self, engine):
+    def test_soa_generation_rows_do_not_leak(self):
         """After a churn burst, the live pipeline's verdicts come from
         the *current* generation only: the restarted detector starts at
         S and re-earns T, regardless of the retired row's final state."""
-        sim, service = make_service(engine)
+        sim, service = make_service()
         service.start()
         sim.run_until(6.0)
         for _ in range(3):  # repeated remove→restart churn

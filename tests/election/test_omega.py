@@ -102,10 +102,11 @@ class TestOmegaCore:
         assert registry.get("election_has_leader", labels).value == 1
 
 
+@pytest.mark.usefixtures("each_path")
 class TestServiceElector:
-    def make(self, engine="object"):
+    def make(self):
         sim = Simulator()
-        service = MonitorService(sim, seed=3, engine=engine)
+        service = MonitorService(sim, seed=3)
         for name in ("a", "b"):
             service.add_process(
                 name, NFDS(1.0, 0.5), eta=1.0, delay=ConstantDelay(0.05)
@@ -114,17 +115,15 @@ class TestServiceElector:
         service.start()
         return sim, service, elector
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_elects_after_first_heartbeats(self, engine):
-        sim, service, elector = self.make(engine)
+    def test_elects_after_first_heartbeats(self):
+        sim, service, elector = self.make()
         assert elector.leader == "q"  # nobody trusted yet but itself
         sim.run_until(5.0)
         assert elector.core.trusted == frozenset({"a", "b", "q"})
         assert elector.leader == "a"
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_leader_crash_elects_next(self, engine):
-        sim, service, elector = self.make(engine)
+    def test_leader_crash_elects_next(self):
+        sim, service, elector = self.make()
         sim.run_until(5.0)
         service.crash("a")
         sim.run_until(10.0)
@@ -133,9 +132,8 @@ class TestServiceElector:
         demotion = [e for e in elector.events if e.previous == "a"][-1]
         assert demotion.time <= 5.0 + 1.5 + 1e-9
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_remove_untrusts_via_admin_event(self, engine):
-        sim, service, elector = self.make(engine)
+    def test_remove_untrusts_via_admin_event(self):
+        sim, service, elector = self.make()
         sim.run_until(5.0)
         service.remove_process("a")
         assert "a" not in elector.core.trusted

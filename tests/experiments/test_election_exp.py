@@ -94,17 +94,23 @@ class TestTables:
 
 
 class TestEngineParityAndCLI:
-    def test_soa_engine_matches_object_for_nfds_rows(self):
+    def test_soa_engine_matches_object_for_nfds_rows(self, monitor_path):
         # Bit-identical NFD-S transitions are the SoA engine's hard
         # correctness bar (tests/service/test_soa_identity.py); the
         # election layer must preserve that identity end to end.  The
-        # NFD-U/NFD-E rows are outside that bar, so only the two NFD-S
+        # shipped tables (NFD-S/U/E on the engine) are compared with
+        # the object reference hosts.  NFD-U expiries of different
+        # senders that coincide fire in another order on the reference
+        # (repro.service.soa docstring), so only the NFD-S and NFD-E
         # rows are compared.
         s = small_settings()
-        obj = run_election_qos(settings=s, engine="object")
-        soa = run_election_qos(settings=s, engine="soa")
-        labels = {"NFD-S", "NFD-S (Thm 5)"}
-        for a, b in zip(obj, soa):
+        with monitor_path("object"):
+            ref = run_election_qos(settings=s)
+        shipped = run_election_qos(settings=s)
+        assert len(ref) == 2 and all(len(t.rows) == 4 for t in ref)
+        labels = {"NFD-S", "NFD-S (Thm 5)", "NFD-E"}
+        for a, b in zip(ref, shipped):
+            assert a.title == b.title
             assert [r for r in a.rows if r[0] in labels] == [
                 r for r in b.rows if r[0] in labels
             ]

@@ -24,32 +24,38 @@ class TestFastPathFlags:
             live_main(
                 [
                     "soak",
-                    "--engine",
-                    "soa",
                     "--duration",
                     "5",
+                    "--seed",
+                    "3",
                 ]
             )
         config = captured["config"]
-        assert config.engine == "soa"
+        assert (config.duration, config.seed) == (5.0, 3)
+        assert not hasattr(config, "engine")
 
     def test_monitor_flags_parse_with_defaults(self):
         args = _build_parser().parse_args(
             ["monitor", "--port", "9999"]
         )
-        assert args.engine == "object"
+        assert not hasattr(args, "engine")
         assert not hasattr(args, "drain_batch")
         assert args.uvloop is False
 
     def test_soak_rejects_unknown_engine(self, capsys):
-        with pytest.raises(SystemExit):
+        # The host follows the detector; every --engine is unknown now.
+        with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args(["soak", "--engine", "gpu"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["soak", "--fanout"],
             ["monitor", "--port", "9999", "--no-batched-socket"],
+            ["soak", "--engine", "soa"],
+            ["monitor", "--port", "9999", "--engine", "soa"],
         ],
     )
     def test_removed_live_datapath_flags_are_rejected(self, argv, capsys):

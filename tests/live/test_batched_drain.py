@@ -5,9 +5,11 @@ chunk through one routine (chunk decode, hoisted receipt clock, one SoA
 ingest per chunk).  Its decisions — junk, unknown senders, reordering,
 incarnation restarts, stale stragglers, inbox overflow, real wall-clock
 pacing — are pinned here as literals worked out from how each stream is
-built, for both engines and for chunk caps that split restarts and
-admissions across chunk boundaries (1, 3) or take the whole backlog at
-once (256).
+built, on the object reference hosts and on the shipped SoA hosts, for
+chunk caps that split restarts and admissions across chunk boundaries
+(1, 3) or take the whole backlog at once (256), and with the engine's
+small-route threshold forced to 0 (every ingest vectorized) and to a
+size no chunk reaches (every ingest scalar).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import asyncio
 
 import repro.live.monitor as monitor_mod
+import repro.service.soa as soa_mod
 from repro.core.nfd_s import NFDS
 from repro.live.monitor import LiveMonitorService
 from repro.live.wire import encode_heartbeat
@@ -22,20 +25,30 @@ from repro.live.wire import encode_heartbeat
 # η = 1 s: a restart processed within the first second of the run
 # starts its incarnation at first_seq = 1, so the books are literals.
 ETA, DELTA = 1.0, 0.5
-ENGINES = ("object", "soa")
+PATHS = ("object", "soa")
 CHUNK_CAPS = (1, 3, 256)
+#: small-route thresholds forced on the shipped path at the largest cap
+FORCED_THRESHOLDS = (0, 10**9)
 
 
 def _factory(first_seq):
     return NFDS(ETA, DELTA, first_seq=first_seq)
 
 
-def _modes(monkeypatch):
-    """Every engine × chunk cap, with the cap set on the module."""
-    for engine in ENGINES:
-        for cap in CHUNK_CAPS:
-            monkeypatch.setattr(monitor_mod, "_DRAIN_CHUNK", cap)
-            yield engine, cap
+def _modes(monkeypatch, monitor_path):
+    """Every host path × chunk cap, then the shipped path at the
+    forced thresholds; the cap and threshold are set on the modules."""
+    modes = [
+        (path, cap, soa_mod._SCALAR_MAX)
+        for path in PATHS
+        for cap in CHUNK_CAPS
+    ]
+    modes += [("soa", CHUNK_CAPS[-1], t) for t in FORCED_THRESHOLDS]
+    for path, cap, threshold in modes:
+        monkeypatch.setattr(monitor_mod, "_DRAIN_CHUNK", cap)
+        monkeypatch.setattr(soa_mod, "_SCALAR_MAX", threshold)
+        with monitor_path(path):
+            yield path, cap, threshold
 
 
 def mixed_stream(n_senders=6, slots=10):
@@ -115,13 +128,12 @@ def _counters(registry):
     }
 
 
-async def _dispatch_all(payloads, *, engine, n_senders=6):
+async def _dispatch_all(payloads, *, n_senders=6):
     loop = asyncio.get_running_loop()
     service = LiveMonitorService(
         loop=loop,
         origin=loop.time(),
         inbox_limit=len(payloads) + 1,
-        engine=engine,
         keep_traces=False,
     )
     for i in range(n_senders):
@@ -140,23 +152,25 @@ async def _dispatch_all(payloads, *, engine, n_senders=6):
 
 
 class TestDecisionIdentity:
-    def test_all_modes_agree_on_mixed_stream(self, monkeypatch):
-        """Every engine × chunk cap ends at the stream's literal
-        counters and incarnation books."""
+    def test_all_modes_agree_on_mixed_stream(
+        self, monkeypatch, monitor_path
+    ):
+        """Every mode ends at the stream's literal counters and
+        incarnation books."""
 
         async def main():
             payloads = mixed_stream()
             assert len(payloads) == 78
-            for engine, cap in _modes(monkeypatch):
-                counters, books = await _dispatch_all(
-                    payloads, engine=engine
-                )
-                assert counters == MIXED_COUNTERS, (engine, cap)
-                assert books == MIXED_BOOKS, (engine, cap)
+            for mode in _modes(monkeypatch, monitor_path):
+                counters, books = await _dispatch_all(payloads)
+                assert counters == MIXED_COUNTERS, mode
+                assert books == MIXED_BOOKS, mode
 
         asyncio.run(main())
 
-    def test_aclose_drains_leftovers_through_batch_path(self, monkeypatch):
+    def test_aclose_drains_leftovers_through_batch_path(
+        self, monkeypatch, monitor_path
+    ):
         """Datagrams queued but never consumed (service closed before
         the consumer ran) still reach the books — identically."""
         # 3 senders × 4 slots: 12 slot heartbeats + junk + ghost + 4
@@ -182,13 +196,12 @@ class TestDecisionIdentity:
 
         async def main():
             payloads = mixed_stream(n_senders=3, slots=4)
-            for engine, cap in _modes(monkeypatch):
+            for mode in _modes(monkeypatch, monitor_path):
                 loop = asyncio.get_running_loop()
                 service = LiveMonitorService(
                     loop=loop,
                     origin=loop.time(),
                     inbox_limit=len(payloads) + 1,
-                    engine=engine,
                     keep_traces=False,
                 )
                 for i in range(3):
@@ -196,19 +209,20 @@ class TestDecisionIdentity:
                 for payload in payloads:
                     service.on_datagram(payload)
                 books = await service.aclose()  # never started
-                assert _counters(service.registry) == expected_counters, (
-                    engine,
-                    cap,
-                )
+                assert (
+                    _counters(service.registry) == expected_counters
+                ), mode
                 assert sorted(
                     (r.name, r.incarnation, r.delivered) for r in books
-                ) == expected_books, (engine, cap)
+                ) == expected_books, mode
 
         asyncio.run(main())
 
 
 class TestOverflow:
-    def test_inbox_overflow_counts_identically(self, monkeypatch):
+    def test_inbox_overflow_counts_identically(
+        self, monkeypatch, monitor_path
+    ):
         """Every overflow datagram is dropped-and-counted, decodable
         sheds are announced to the loss estimator (through the batch
         decoder), and the surviving prefix dispatches — in every mode."""
@@ -218,13 +232,12 @@ class TestOverflow:
                 encode_heartbeat("s0", 0, seq, seq * ETA)
                 for seq in range(1, 21)
             ]
-            for engine, cap in _modes(monkeypatch):
+            for mode in _modes(monkeypatch, monitor_path):
                 loop = asyncio.get_running_loop()
                 service = LiveMonitorService(
                     loop=loop,
                     origin=loop.time(),
                     inbox_limit=8,
-                    engine=engine,
                     keep_traces=False,
                 )
                 service.add_peer("s0", _factory, eta=ETA)
@@ -241,7 +254,7 @@ class TestOverflow:
                 # heartbeat, so all were noted to the loss estimator
                 assert (
                     counters["live_dropped_heartbeats_noted_total"] == 12
-                ), (engine, cap)
+                ), mode
                 assert counters["live_heartbeats_dispatched_total"] == 8
 
         asyncio.run(main())
@@ -260,7 +273,6 @@ class TestObserveFlag:
                 service = LiveMonitorService(
                     loop=loop,
                     origin=loop.time(),
-                    engine="soa",
                     keep_traces=False,
                 )
                 service.add_peer("s0", _factory, eta=ETA, observe=observe)
@@ -278,10 +290,12 @@ class TestObserveFlag:
 
 
 class TestPacedTransitions:
-    def test_transition_kinds_match_under_real_pacing(self, monkeypatch):
+    def test_transition_kinds_match_under_real_pacing(
+        self, monkeypatch, monitor_path
+    ):
         """A wall-clock run with deliberately dropped heartbeats forces
         a deterministic S/T kind sequence (margins ≫ timer jitter);
-        every engine and chunk cap must produce it."""
+        every mode must produce it."""
         eta, delta = 0.08, 0.04
         # seq i arrives at i·η + 5 ms; seqs 4, 5 are dropped; nothing
         # after seq 8.  Freshness points sit at i·η + δ, so every
@@ -292,13 +306,12 @@ class TestPacedTransitions:
         sends = [i for i in range(1, 9) if i not in (4, 5)]
         expected = ["T", "S", "T", "S"]
 
-        async def run_one(engine):
+        async def run_one():
             loop = asyncio.get_running_loop()
             origin = loop.time() + 0.02
             service = LiveMonitorService(
                 loop=loop,
                 origin=origin,
-                engine=engine,
                 keep_traces=True,
             )
             service.add_peer(
@@ -319,16 +332,69 @@ class TestPacedTransitions:
             return [t.kind.value for t in result.trace.transitions]
 
         async def main():
-            for engine, cap in _modes(monkeypatch):
+            for mode in _modes(monkeypatch, monitor_path):
                 # A loaded machine can push a wakeup past even these
                 # margins; such jitter is transient, so allow a couple
                 # of fresh runs.  A *systematic* divergence of one
                 # mode fails every attempt.
                 for attempt in range(3):
-                    got = await run_one(engine)
+                    got = await run_one()
                     if got == expected:
                         break
-                assert got == expected, (engine, cap, got)
+                assert got == expected, (mode, got)
 
         asyncio.run(main())
 
+
+    def test_distinct_periods_under_real_pacing(
+        self, monkeypatch, monitor_path
+    ):
+        """Senders on distinct periods — one engine cohort each, the
+        shape of a fleet on spread periods — each force the same
+        deterministic kind sequence in every mode."""
+        delta = 0.04
+        etas = {"a": 0.08, "b": 0.09, "c": 0.1}
+        # seq i arrives at i·η + 5 ms; seqs 3, 4 are dropped; nothing
+        # after seq 6.  Freshness points sit at i·η + δ (≥ 35 ms from
+        # any arrival): S→T at arr(1), T→S at τ_3, S→T at arr(5),
+        # T→S at τ_7 (≤ 0.74); close at 0.8.
+        sends = (1, 2, 5, 6)
+        expected = {name: ["T", "S", "T", "S"] for name in etas}
+
+        async def run_one():
+            loop = asyncio.get_running_loop()
+            origin = loop.time() + 0.02
+            service = LiveMonitorService(
+                loop=loop, origin=origin, keep_traces=True
+            )
+            for name, eta in etas.items():
+                service.add_peer(
+                    name,
+                    lambda first_seq, eta=eta: NFDS(
+                        eta, delta, first_seq=first_seq
+                    ),
+                    eta=eta,
+                )
+                for seq in sends:
+                    loop.call_at(
+                        origin + seq * eta + 0.005,
+                        service.on_datagram,
+                        encode_heartbeat(name, 0, seq, seq * eta),
+                    )
+            service.start()
+            await asyncio.sleep((origin - loop.time()) + 0.8)
+            results = await service.aclose()
+            return {
+                r.name: [t.kind.value for t in r.trace.transitions]
+                for r in results
+            }
+
+        async def main():
+            for mode in _modes(monkeypatch, monitor_path):
+                for attempt in range(3):  # transient jitter, as above
+                    got = await run_one()
+                    if got == expected:
+                        break
+                assert got == expected, (mode, got)
+
+        asyncio.run(main())

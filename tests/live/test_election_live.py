@@ -3,10 +3,10 @@
 The fast section is tier-1 (sub-second, no real waiting): a
 :class:`~repro.election.omega.LiveElector` on top of a
 :class:`~repro.live.monitor.LiveMonitorService`, fed hand-crafted
-datagrams, on both the object and SoA backends.  The key regression is
-the incarnation race: a restarted peer is untrusted the instant the new
-incarnation is observed, and a stale heartbeat from the dead
-incarnation can never resurrect its trust bit.
+datagrams, on both the object reference hosts and the SoA engine.  The
+key regression is the incarnation race: a restarted peer is untrusted
+the instant the new incarnation is observed, and a stale heartbeat from
+the dead incarnation can never resurrect its trust bit.
 
 The closing soak (marker: ``live``, excluded from tier-1) runs a real
 event loop for a few wall-clock seconds with timer-driven senders, kills
@@ -43,8 +43,8 @@ def nfds_factory(first_seq):
     return NFDS(ETA, DELTA, first_seq=first_seq)
 
 
-def make_service(engine, origin):
-    service = LiveMonitorService(origin=origin, engine=engine)
+def make_service(origin):
+    service = LiveMonitorService(origin=origin)
     for name in ("a", "b"):
         service.add_peer(name, nfds_factory, eta=ETA)
     elector = LiveElector(service, "z", label="z")
@@ -52,12 +52,12 @@ def make_service(engine, origin):
     return service, elector
 
 
-@pytest.mark.parametrize("engine", ["object", "soa"])
+@pytest.mark.usefixtures("each_path")
 class TestLiveElector:
-    def test_elects_smallest_trusted_peer(self, engine):
+    def test_elects_smallest_trusted_peer(self):
         async def main():
             loop = asyncio.get_running_loop()
-            service, elector = make_service(engine, loop.time())
+            service, elector = make_service(loop.time())
             assert elector.leader == "z"  # trusts only itself at birth
             service.on_datagram(encode_heartbeat("b", 0, 1, ETA))
             await drain(service)
@@ -77,7 +77,7 @@ class TestLiveElector:
 
         asyncio.run(main())
 
-    def test_restart_untrusts_and_stale_heartbeat_stays_dead(self, engine):
+    def test_restart_untrusts_and_stale_heartbeat_stays_dead(self):
         """The incarnation race, live: the new incarnation's first
         datagram arrives *before* that incarnation has earned trust
         (it is pre-window), so the restart's administrative S must
@@ -89,7 +89,7 @@ class TestLiveElector:
             # Local clock already ≈1s old: incarnation windows open at
             # first_seq ≈ 1s/η, so small sequence numbers are
             # pre-window and deliver no trust.
-            service, elector = make_service(engine, loop.time() - 1.0)
+            service, elector = make_service(loop.time() - 1.0)
             service.on_datagram(encode_heartbeat("a", 0, 25, 25 * ETA))
             service.on_datagram(encode_heartbeat("b", 0, 25, 25 * ETA))
             await drain(service)
@@ -124,10 +124,10 @@ class TestLiveElector:
 
         asyncio.run(main())
 
-    def test_remove_peer_publishes_departure(self, engine):
+    def test_remove_peer_publishes_departure(self):
         async def main():
             loop = asyncio.get_running_loop()
-            service, elector = make_service(engine, loop.time())
+            service, elector = make_service(loop.time())
             service.on_datagram(encode_heartbeat("a", 0, 1, ETA))
             service.on_datagram(encode_heartbeat("b", 0, 1, ETA))
             await drain(service)

@@ -1,21 +1,23 @@
-"""Tests for the live SoA backend (tier-1: sub-second).
+"""Tests for the live SoA hosts (tier-1: sub-second).
 
-``LiveMonitorService(engine="soa")`` keeps per-peer detector state in
-the shared :class:`VectorMonitorEngine` with a single armed
-``loop.call_at`` wakeup.  The observable behaviour — dispatch,
-suspicion, incarnation restarts, removal, metrics — must match the
-object backend's.
+``LiveMonitorService`` keeps NFD-S/U/E peer state in the shared
+:class:`VectorMonitorEngine` with a single armed ``loop.call_at``
+wakeup.  The observable behaviour — dispatch, suspicion, incarnation
+restarts, removal, metrics — must match the object reference hosts'.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
+from repro.core.adaptive import AdaptiveController, AdaptiveNFDE
 from repro.core.nfd_s import NFDS
-from repro.errors import InvalidParameterError
 from repro.live.monitor import LiveMonitorService
+from repro.live.runtime import LiveDetectorHost
 from repro.live.soa import SoALiveHost
 from repro.live.wire import encode_heartbeat
 
@@ -35,20 +37,42 @@ def nfds_factory(eta, delta):
 
 
 class TestEngineSelection:
-    def test_engine_validated(self):
+    def test_engine_argument_is_gone(self):
         async def main():
-            with pytest.raises(InvalidParameterError):
-                LiveMonitorService(engine="simd")
-            service = LiveMonitorService(engine="soa")
-            assert service.engine == "soa"
+            # The detector picks the host; no backend option is left.
+            with pytest.raises(TypeError):
+                LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
+            assert not hasattr(service, "engine")
             assert service.soa_engine is None  # built on first peer
+            await service.aclose()
+
+        asyncio.run(main())
+
+    def test_detector_type_picks_the_host(self):
+        """NFD-S/U/E peers get engine rows; any other detector — even
+        an NFD-E subclass, whose reconfiguration the tables do not
+        model — gets its own object host."""
+
+        async def main():
+            service = LiveMonitorService()
+            service.add_peer("nfds", nfds_factory(0.05, 0.02), eta=0.05)
+            service.add_peer(
+                "adaptive",
+                lambda first_seq: AdaptiveNFDE(
+                    0.05, 0.02, AdaptiveController(1.0, 0.01, 10.0)
+                ),
+                eta=0.05,
+            )
+            assert isinstance(service.host("nfds"), SoALiveHost)
+            assert isinstance(service.host("adaptive"), LiveDetectorHost)
             await service.aclose()
 
         asyncio.run(main())
 
     def test_peers_share_one_engine(self):
         async def main():
-            service = LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
             for i in range(8):
                 service.add_peer(
                     f"p{i}", nfds_factory(0.05, 0.02), eta=0.05
@@ -66,7 +90,7 @@ class TestEngineSelection:
 class TestDispatchAndSuspicion:
     def test_delivery_trusts_then_wheel_suspects(self):
         async def main():
-            service = LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
             transitions = []
             service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
             service.start()
@@ -92,7 +116,7 @@ class TestDispatchAndSuspicion:
 
     def test_restart_finalizes_and_redispatches(self):
         async def main():
-            service = LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
             service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
             service.start()
             service.on_datagram(encode_heartbeat("p0", 0, 1, 0.05))
@@ -118,7 +142,6 @@ class TestAutoAdmit:
     def test_walk_in_lands_in_engine(self):
         async def main():
             service = LiveMonitorService(
-                engine="soa",
                 auto_admit=lambda name: (nfds_factory(0.05, 0.02), 0.05),
             )
             service.start()
@@ -144,7 +167,7 @@ class TestAutoAdmit:
 class TestRemoval:
     def test_remove_peer_idempotent(self):
         async def main():
-            service = LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
             service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
             service.start()
             service.on_datagram(encode_heartbeat("p0", 0, 1, 0.05))
@@ -161,6 +184,29 @@ class TestRemoval:
 
         asyncio.run(main())
 
+    def test_retired_rows_release_their_hosts(self):
+        """A finalized incarnation's host must not stay reachable
+        through the engine's per-row sink, clock or arrival function
+        for as long as the service runs."""
+
+        async def main():
+            service = LiveMonitorService()
+            service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
+            service.start()
+            service.on_datagram(encode_heartbeat("p0", 0, 1, 0.05))
+            await drain(service)
+            first = weakref.ref(service.host("p0"))
+            service.on_datagram(encode_heartbeat("p0", 1, 1, 0.05))
+            await drain(service)  # restart: incarnation 0 finalized
+            gone = weakref.ref(service.host("p0"))
+            service.remove_peer("p0")
+            gc.collect()
+            assert first() is None
+            assert gone() is None
+            await service.aclose()
+
+        asyncio.run(main())
+
 
 class TestShedAccounting:
     def test_overflow_drops_are_counted_and_noted(self):
@@ -170,7 +216,7 @@ class TestShedAccounting:
         loss)."""
 
         async def main():
-            service = LiveMonitorService(engine="soa", inbox_limit=4)
+            service = LiveMonitorService(inbox_limit=4)
             service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
             # Consumer not started: seqs 5..10 overflow the inbox.
             for seq in range(1, 11):
@@ -201,7 +247,7 @@ class TestShedAccounting:
 
     def test_post_close_arrivals_counted_as_drops(self):
         async def main():
-            service = LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
             service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
             service.start()
             await service.aclose()

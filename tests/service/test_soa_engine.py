@@ -9,6 +9,9 @@ exact same transition stream, float for float.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.errors import InvalidParameterError, SimulationError
+import repro.service.soa as soa_mod
 from repro.net.clocks import DriftingClock, SkewedClock
 from repro.service.soa import (
     ManualScheduler,
@@ -261,6 +265,36 @@ class TestRemoval:
         assert ("b", 2.5, "S") not in events
         assert not eng.is_active(rows["b"])
 
+    def test_remove_releases_row_references(self):
+        """A retired row must not pin its host: the sink (a bound
+        method of the host), the expected-arrival function and the
+        clock are dropped on removal."""
+
+        class Host:
+            def sink(self, real, local, out):
+                pass
+
+        host, clock = Host(), SkewedClock(0.1)
+
+        def expected_arrival(seq):
+            return seq * ETA
+
+        eng = engine()
+        row = eng.register(
+            NFDU(eta=ETA, alpha=0.4, expected_arrival=expected_arrival),
+            clock=clock,
+            on_transition=host.sink,
+        )
+        eng.start_row(row)
+        eng.deliver(row, 1, at_real=1.0)
+        refs = [weakref.ref(x) for x in (host, clock, expected_arrival)]
+        del host, clock, expected_arrival
+        gc.collect()
+        assert all(r() is not None for r in refs)  # held while active
+        eng.remove(row)
+        gc.collect()
+        assert all(r() is None for r in refs)
+
     def test_cohort_compacts_after_mass_removal(self):
         eng = engine(record=False)
         rows = [eng.register(NFDS(eta=ETA, delta=DELTA)) for _ in range(64)]
@@ -329,6 +363,86 @@ class TestBatchIngest:
                 np.array([0]),
                 np.array([1]),
             )
+
+
+class TestRoutes:
+    """The scalar and vectorized routes apply one set of rules: at any
+    small-route threshold, ingests of any size give the reference
+    verdict stream."""
+
+    @staticmethod
+    def population():
+        etas = list(0.5 + np.random.default_rng(5).random(6))
+        specs = [(ETA, lambda: NFDS(eta=ETA, delta=DELTA))] * 12
+        specs += [
+            (eta, lambda eta=eta: NFDS(eta=eta, delta=0.4 * eta))
+            for eta in etas
+        ]
+        specs += [(ETA, lambda: NFDE(eta=ETA, alpha=0.3, window=4))] * 3
+        # The EA offset keeps the NFD-U expiries off the NFD-S grid:
+        # coinciding deadlines of different senders fire in arm order on
+        # the reference, in row order on the engine.
+        specs += [
+            (
+                ETA,
+                lambda: NFDU(
+                    eta=ETA, alpha=0.4, expected_arrival=lambda s: s + 0.13
+                ),
+            )
+        ]
+        return specs
+
+    @pytest.mark.parametrize(
+        "threshold", [0, 1, soa_mod._SCALAR_MAX, 10**9]
+    )
+    def test_any_threshold_matches_object(self, threshold, monkeypatch):
+        monkeypatch.setattr(soa_mod, "_SCALAR_MAX", threshold)
+        rng = np.random.default_rng(29)
+        specs = self.population()
+        slots = 40
+        schedule = []
+        for row, (eta, _) in enumerate(specs):
+            for s in range(1, slots + 1):
+                if rng.random() >= 0.15:
+                    schedule.append((s * eta + rng.exponential(0.2), row, s))
+        schedule.sort()
+        horizon = slots * 1.6
+        factories = [f for _, f in specs]
+        want = object_stream(factories, schedule, horizon)
+
+        eng = engine()
+        for f in factories:
+            eng.start_row(eng.register(f()))
+        pos = 0
+        while pos < len(schedule):  # chunks of 1..20 receipts
+            chunk = schedule[pos : pos + int(rng.integers(1, 21))]
+            pos += len(chunk)
+            times, rows, seqs = zip(*chunk)
+            eng.ingest(times, rows, seqs)
+        eng.advance(horizon)
+        assert eng.transition_log == want
+        assert len(want) > 3 * len(specs)  # real churn happened
+
+
+    @pytest.mark.parametrize("threshold", [0, soa_mod._SCALAR_MAX])
+    def test_deadline_precedes_same_instant_receipt(
+        self, threshold, monkeypatch
+    ):
+        """m_2 arriving exactly at τ_2 = 2.5: the deadline fires first
+        (S, since only m_1 was seen), then the receipt trusts again."""
+        monkeypatch.setattr(soa_mod, "_SCALAR_MAX", threshold)
+        eng = engine()
+        row = eng.register(NFDS(eta=ETA, delta=DELTA))
+        eng.start_row(row)
+        eng.ingest([1.0], [row], [1])
+        eng.advance(2.0)  # τ_1 = 1.5 passes; τ_2 = 2.5 is next
+        eng.ingest([2.5], [row], [2])
+        eng.advance(3.0)
+        assert eng.transition_log == [
+            (1.0, row, "T"),
+            (2.5, row, "S"),
+            (2.5, row, "T"),
+        ]
 
 
 class TestSchedulers:
